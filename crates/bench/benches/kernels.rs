@@ -63,7 +63,7 @@ fn bench_board_step(c: &mut Criterion) {
     });
     let loads = vec![ThreadLoad::nominal(); 8];
     c.bench_function("board_step_10ms", |bch| {
-        bch.iter(|| black_box(board.step(black_box(&loads))))
+        bch.iter(|| black_box(board.step(black_box(&loads)).p_big))
     });
 }
 

@@ -96,10 +96,11 @@ pub struct ActuationAudit {
 
 /// What happened during one simulation step.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepReport {
+pub struct StepReport<'a> {
     /// Giga-instructions retired by each thread (aligned with the `loads`
-    /// slice passed to [`Board::step`]).
-    pub thread_progress: Vec<f64>,
+    /// slice passed to [`Board::step`]). Borrowed from a buffer the board
+    /// reuses across steps, so it is valid until the next `step`.
+    pub thread_progress: &'a [f64],
     /// True instantaneous big-cluster power (W).
     pub p_big: f64,
     /// True instantaneous little-cluster power (W).
@@ -154,6 +155,10 @@ pub struct Board {
     /// Telemetry sink for actuation/TMU/fault events. Never consulted by
     /// the physics: an instrumented board is bit-identical to a plain one.
     obs: ObsHandle,
+    /// Per-thread progress of the last step, reused across steps so the
+    /// step loop does not allocate; [`StepReport::thread_progress`]
+    /// borrows it.
+    progress: Vec<f64>,
 }
 
 impl Board {
@@ -195,6 +200,7 @@ impl Board {
             audit: ActuationAudit::default(),
             acts_since_step: 0,
             obs: ObsHandle::default(),
+            progress: Vec::new(),
         }
     }
 
@@ -403,7 +409,12 @@ impl Board {
     }
 
     /// Advances the board by one timestep given each thread's current load.
-    pub fn step(&mut self, loads: &[ThreadLoad]) -> StepReport {
+    ///
+    /// Active threads are placed in index order: the first
+    /// `min(threads_big, n_active)` run on big, the rest on little. The
+    /// returned per-thread progress borrows a board-owned buffer, so a
+    /// steady-state step performs no heap allocation.
+    pub fn step(&mut self, loads: &[ThreadLoad]) -> StepReport<'_> {
         let dt = self.cfg.dt;
         // Refresh the HMP packing-noise factors every 500 ms.
         self.hmp_timer += dt;
@@ -412,18 +423,15 @@ impl Board {
             self.hmp_factor_big = self.draw_hmp_factor();
             self.hmp_factor_little = self.draw_hmp_factor();
         }
-        // Apply TMU caps to the requested operating point, then the
-        // external cap (both strictly shrink; see `ext_cap_f_big`).
-        let caps = self.tmu.caps();
-        let f_big = caps.f_big.map_or(self.req_f_big, |c| self.req_f_big.min(c));
-        let f_big = self.ext_cap_f_big.map_or(f_big, |c| f_big.min(c));
-        let f_little = caps
-            .f_little
-            .map_or(self.req_f_little, |c| self.req_f_little.min(c));
-        let big_cores = caps
-            .big_cores
-            .map_or(self.req_big_cores, |c| self.req_big_cores.min(c.max(1)));
-        let little_cores = self.req_little_cores;
+        // Run at the effective operating point: TMU caps, then the
+        // external cap.
+        let BoardState {
+            f_big,
+            f_little,
+            big_cores,
+            little_cores,
+            ..
+        } = self.state();
         // The TMU may only shrink the requested point; an effective knob
         // above its request means the capper turned into a writer.
         if f_big > self.req_f_big + 1e-12
@@ -434,19 +442,13 @@ impl Board {
         }
         self.acts_since_step = 0;
 
-        // Partition the active threads.
-        let active: Vec<usize> = loads
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.active)
-            .map(|(i, _)| i)
-            .collect();
-        let n_big = self.placement.threads_big.min(active.len());
-        let (big_ids, little_ids) = active.split_at(n_big);
+        // Partition the active threads: the first `n_big` go to big.
+        let n_active = loads.iter().filter(|l| l.active).count();
+        let n_big = self.placement.threads_big.min(n_active);
 
-        let mux_big = multiplex(big_ids.len(), big_cores, self.placement.packing_big);
+        let mux_big = multiplex(n_big, big_cores, self.placement.packing_big);
         let mux_little = multiplex(
-            little_ids.len(),
+            n_active - n_big,
             little_cores,
             self.placement.packing_little,
         );
@@ -457,34 +459,43 @@ impl Board {
         self.stall_big = (self.stall_big - dt).max(0.0);
         self.stall_little = (self.stall_little - dt).max(0.0);
 
-        let mut progress = vec![0.0; loads.len()];
+        // Each cluster's total is summed in thread-index order.
+        self.progress.clear();
+        self.progress.resize(loads.len(), 0.0);
         let mut instr_big = 0.0;
         let mut instr_little = 0.0;
-        for &tid in big_ids {
-            let l = &loads[tid];
-            let gips = thread_gips(
-                &self.cfg.big,
-                l.ipc_factor_big,
-                l.mem_intensity,
-                f_big,
-                mux_big.share_per_thread,
-            ) * self.hmp_factor_big
-                * exec_big;
-            progress[tid] = gips * dt;
-            instr_big += gips * dt;
-        }
-        for &tid in little_ids {
-            let l = &loads[tid];
-            let gips = thread_gips(
-                &self.cfg.little,
-                l.ipc_factor_little,
-                l.mem_intensity,
-                f_little,
-                mux_little.share_per_thread,
-            ) * self.hmp_factor_little
-                * exec_little;
-            progress[tid] = gips * dt;
-            instr_little += gips * dt;
+        let mut placed = 0;
+        for (l, progress) in loads.iter().zip(self.progress.iter_mut()) {
+            if !l.active {
+                continue;
+            }
+            let on_big = placed < n_big;
+            placed += 1;
+            let gips = if on_big {
+                thread_gips(
+                    &self.cfg.big,
+                    l.ipc_factor_big,
+                    l.mem_intensity,
+                    f_big,
+                    mux_big.share_per_thread,
+                ) * self.hmp_factor_big
+                    * exec_big
+            } else {
+                thread_gips(
+                    &self.cfg.little,
+                    l.ipc_factor_little,
+                    l.mem_intensity,
+                    f_little,
+                    mux_little.share_per_thread,
+                ) * self.hmp_factor_little
+                    * exec_little
+            };
+            *progress = gips * dt;
+            if on_big {
+                instr_big += gips * dt;
+            } else {
+                instr_little += gips * dt;
+            }
         }
 
         // Power and thermal.
@@ -572,7 +583,7 @@ impl Board {
 
         self.time += dt;
         StepReport {
-            thread_progress: progress,
+            thread_progress: &self.progress,
             p_big,
             p_little,
             t_hot: self.thermal.t_hot,
@@ -692,7 +703,10 @@ impl Board {
         self.ext_cap_f_big
     }
 
-    /// A snapshot of the effective operating point.
+    /// A snapshot of the effective operating point: the TMU caps applied to
+    /// the requested point, then the external cap (both strictly shrink;
+    /// see `ext_cap_f_big`). [`Board::step`] runs the plant at exactly this
+    /// point.
     pub fn state(&self) -> BoardState {
         let caps = self.tmu.caps();
         let f_big_tmu = caps.f_big.map_or(self.req_f_big, |c| self.req_f_big.min(c));
@@ -905,6 +919,27 @@ mod tests {
         let rep = b.step(&loads);
         assert_eq!(rep.thread_progress[3], 0.0);
         assert!(rep.thread_progress[0] > 0.0);
+        // A thread that goes idle mid-run must not keep its last progress
+        // in the board's reused buffer.
+        loads[0] = ThreadLoad::idle();
+        let rep = b.step(&loads);
+        assert_eq!(rep.thread_progress[0], 0.0);
+        assert_eq!(rep.thread_progress[3], 0.0);
+        assert!(rep.thread_progress[1] > 0.0);
+        // The slot count may change between steps on the same board: the
+        // report follows the new slice, with no stale entries either way.
+        let rep = b.step(&loads[..2]);
+        assert_eq!(rep.thread_progress.len(), 2);
+        assert_eq!(rep.thread_progress[0], 0.0);
+        assert!(rep.thread_progress[1] > 0.0);
+        let mut wide = vec![ThreadLoad::idle(); 12];
+        wide[11] = ThreadLoad::nominal();
+        let rep = b.step(&wide);
+        assert_eq!(rep.thread_progress.len(), 12);
+        assert!(rep.thread_progress[..11].iter().all(|&p| p == 0.0));
+        assert!(rep.thread_progress[11] > 0.0);
+        let sum: f64 = rep.thread_progress.iter().sum();
+        assert_eq!(sum, rep.instr_big + rep.instr_little);
     }
 
     #[test]

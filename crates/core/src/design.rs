@@ -360,11 +360,10 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
             };
             board.actuate(&act);
             for _ in 0..steps_per_interval {
-                let loads = run.loads();
-                let rep = board.step(&loads);
+                let rep = board.step(run.loads());
                 counter_big.add(rep.instr_big);
                 counter_little.add(rep.instr_little);
-                run.advance(&rep.thread_progress);
+                run.advance(rep.thread_progress);
             }
             if run.is_done() {
                 break;
@@ -450,17 +449,15 @@ pub fn measure_dc_gains(opts: &DesignOptions) -> yukta_linalg::Mat {
         let measure = |board: &mut Board, run: &mut WorkloadRun, settle: f64, window: f64| {
             let dt = board.config().dt;
             for _ in 0..(settle / dt) as usize {
-                let loads = run.loads();
-                let rep = board.step(&loads);
-                run.advance(&rep.thread_progress);
+                let rep = board.step(run.loads());
+                run.advance(rep.thread_progress);
             }
             let ib0 = board.instructions(Cluster::Big);
             let il0 = board.instructions(Cluster::Little);
             let t0 = board.time();
             for _ in 0..(window / dt) as usize {
-                let loads = run.loads();
-                let rep = board.step(&loads);
-                run.advance(&rep.thread_progress);
+                let rep = board.step(run.loads());
+                run.advance(rep.thread_progress);
             }
             let span = board.time() - t0;
             let bips_big = (board.instructions(Cluster::Big) - ib0) / span;

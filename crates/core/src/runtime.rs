@@ -1020,9 +1020,8 @@ impl Experiment {
     ) -> Result<Option<JournalRecord>> {
         // One controller period of plant evolution.
         for _ in 0..st.steps_per_invocation {
-            let loads = st.run.loads();
-            let rep = st.board.step(&loads);
-            st.run.advance(&rep.thread_progress);
+            let rep = st.board.step(st.run.loads());
+            st.run.advance(rep.thread_progress);
             if st.run.is_done() {
                 st.completed = true;
                 st.done = true;

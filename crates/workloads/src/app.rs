@@ -160,6 +160,10 @@ struct AppRun {
 pub struct WorkloadRun {
     workload: Workload,
     runs: Vec<AppRun>,
+    /// Per-slot loads for the current phases. Loads change only when
+    /// some app's phase index moves, so [`WorkloadRun::advance`] refreshes
+    /// this cache on phase changes and the per-step read allocates nothing.
+    loads: Vec<ThreadLoad>,
 }
 
 impl WorkloadRun {
@@ -173,10 +177,13 @@ impl WorkloadRun {
                 remaining_gi: a.phases.first().map_or(0.0, |p| p.work_gi),
             })
             .collect();
-        WorkloadRun {
+        let mut run = WorkloadRun {
             workload: workload.clone(),
             runs,
-        }
+            loads: Vec::with_capacity(workload.n_slots()),
+        };
+        run.refresh_loads();
+        run
     }
 
     /// The workload being run.
@@ -186,23 +193,27 @@ impl WorkloadRun {
 
     /// Current per-slot thread loads, one entry per slot across all
     /// components (component order, then slot order).
-    pub fn loads(&self) -> Vec<ThreadLoad> {
-        let mut out = Vec::with_capacity(self.workload.n_slots());
+    pub fn loads(&self) -> &[ThreadLoad] {
+        &self.loads
+    }
+
+    /// Rebuilds the load cache from the current phases in place.
+    fn refresh_loads(&mut self) {
+        self.loads.clear();
         for (app, run) in self.workload.apps.iter().zip(&self.runs) {
             let phase = app.phases.get(run.phase);
             for slot in 0..app.slots {
-                match phase {
-                    Some(p) if slot < p.threads && run.remaining_gi > 0.0 => out.push(ThreadLoad {
+                self.loads.push(match phase {
+                    Some(p) if slot < p.threads && run.remaining_gi > 0.0 => ThreadLoad {
                         active: true,
                         mem_intensity: p.mem_intensity,
                         ipc_factor_big: p.ipc_big,
                         ipc_factor_little: p.ipc_little,
-                    }),
-                    _ => out.push(ThreadLoad::idle()),
-                }
+                    },
+                    _ => ThreadLoad::idle(),
+                });
             }
         }
-        out
     }
 
     /// Consumes the board's per-slot progress (giga-instructions retired)
@@ -214,6 +225,7 @@ impl WorkloadRun {
     pub fn advance(&mut self, progress: &[f64]) {
         assert_eq!(progress.len(), self.workload.n_slots(), "slot count");
         let mut base = 0;
+        let mut phase_changed = false;
         for (app, run) in self.workload.apps.iter().zip(self.runs.iter_mut()) {
             let done: f64 = progress[base..base + app.slots].iter().sum();
             base += app.slots;
@@ -224,11 +236,18 @@ impl WorkloadRun {
             while run.remaining_gi <= 0.0 && run.phase < app.phases.len() {
                 let carry = -run.remaining_gi;
                 run.phase += 1;
+                phase_changed = true;
                 run.remaining_gi = app
                     .phases
                     .get(run.phase)
                     .map_or(0.0, |p| (p.work_gi - carry).max(0.0));
             }
+        }
+        // After the drain loop an app either sits past its last phase or
+        // has `remaining_gi > 0`, so the `remaining_gi` test in the loads
+        // can only flip together with a phase change: the cache is exact.
+        if phase_changed {
+            self.refresh_loads();
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the workload engine's bookkeeping invariants.
 
 use proptest::prelude::*;
+use yukta_board::ThreadLoad;
 use yukta_workloads::app::{App, PhaseSpec, Suite, Workload, WorkloadRun};
 
 fn app_strategy() -> impl Strategy<Value = App> {
@@ -28,13 +29,103 @@ fn app_strategy() -> impl Strategy<Value = App> {
         })
 }
 
+/// Apps whose phases may carry no work at all, so one step's progress can
+/// drain several phases at once.
+fn zero_work_app_strategy() -> impl Strategy<Value = App> {
+    (
+        1usize..=4, // slots
+        prop::collection::vec((1usize..=4, 0.0..3.0f64, 0.0..1.0f64), 1..=6),
+    )
+        .prop_map(|(slots, specs)| App {
+            name: "zero".into(),
+            suite: Suite::Training,
+            slots,
+            phases: specs
+                .into_iter()
+                .map(|(threads, w, mi)| PhaseSpec {
+                    name: "p".into(),
+                    threads: threads.min(slots),
+                    // A third of the phases are empty.
+                    work_gi: if w < 1.0 { 0.0 } else { w - 1.0 },
+                    mem_intensity: mi,
+                    ipc_big: 1.0 + mi,
+                    ipc_little: 1.0 - mi / 2.0,
+                })
+                .collect(),
+        })
+}
+
+/// An independent model of the run's phase bookkeeping that rebuilds
+/// every slot's load from scratch, the oracle for the engine's cache.
+struct Reference {
+    /// `(phase index, remaining work)` per component app.
+    apps: Vec<(usize, f64)>,
+}
+
+impl Reference {
+    fn new(wl: &Workload) -> Self {
+        let apps = wl
+            .apps
+            .iter()
+            .map(|a| (0, a.phases.first().map_or(0.0, |p| p.work_gi)))
+            .collect();
+        Reference { apps }
+    }
+
+    fn advance(&mut self, wl: &Workload, progress: &[f64]) {
+        let mut base = 0;
+        for (app, (phase, remaining)) in wl.apps.iter().zip(&mut self.apps) {
+            let done: f64 = progress[base..base + app.slots].iter().sum();
+            base += app.slots;
+            if *phase >= app.phases.len() {
+                continue;
+            }
+            *remaining -= done;
+            while *remaining <= 0.0 && *phase < app.phases.len() {
+                let carry = -*remaining;
+                *phase += 1;
+                *remaining = app
+                    .phases
+                    .get(*phase)
+                    .map_or(0.0, |p| (p.work_gi - carry).max(0.0));
+            }
+        }
+    }
+
+    fn loads(&self, wl: &Workload) -> Vec<ThreadLoad> {
+        let mut out = Vec::new();
+        for (app, &(phase, remaining)) in wl.apps.iter().zip(&self.apps) {
+            for slot in 0..app.slots {
+                out.push(match app.phases.get(phase) {
+                    Some(p) if slot < p.threads && remaining > 0.0 => ThreadLoad {
+                        active: true,
+                        mem_intensity: p.mem_intensity,
+                        ipc_factor_big: p.ipc_big,
+                        ipc_factor_little: p.ipc_little,
+                    },
+                    _ => ThreadLoad::idle(),
+                });
+            }
+        }
+        out
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn progress_fraction_monotone_and_bounded(app in app_strategy(), chunk in 0.1..5.0f64) {
-        let wl = Workload::single(app);
+    fn progress_fraction_monotone_and_bounded(
+        a in app_strategy(),
+        b in zero_work_app_strategy(),
+        chunk in 0.1..5.0f64,
+    ) {
+        // A two-component mix whose second app may hold empty phases, so
+        // one step's progress can carry over several phases at once.
+        let wl = Workload::mix("prop", vec![a, b]);
         let mut run = WorkloadRun::new(&wl);
+        let mut reference = Reference::new(&wl);
+        prop_assert_eq!(run.loads(), reference.loads(&wl).as_slice());
         let slots = wl.n_slots();
         let mut last = run.progress_fraction();
         prop_assert!((0.0..=1.0).contains(&last));
@@ -50,6 +141,10 @@ proptest! {
                 .collect();
             prop_assert_eq!(progress.len(), slots);
             run.advance(&progress);
+            reference.advance(&wl, &progress);
+            // The cached loads equal a from-scratch rebuild after every
+            // advance, phase changes included.
+            prop_assert_eq!(run.loads(), reference.loads(&wl).as_slice());
             let now = run.progress_fraction();
             prop_assert!(now >= last - 1e-9, "progress went backwards");
             prop_assert!((0.0..=1.0).contains(&now));
@@ -95,7 +190,7 @@ proptest! {
         // Progress credited to inactive slots must not advance the run.
         let wl = Workload::single(app);
         let mut run = WorkloadRun::new(&wl);
-        let loads = run.loads();
+        let loads = run.loads().to_vec();
         let before = run.progress_fraction();
         let progress: Vec<f64> = loads.iter().map(|l| if l.active { 0.0 } else { 100.0 }).collect();
         run.advance(&progress);

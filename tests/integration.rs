@@ -107,10 +107,9 @@ fn workload_engine_drives_the_board_to_completion() {
     let mut run = WorkloadRun::new(&wl);
     let mut phase_thread_counts = std::collections::BTreeSet::new();
     for _ in 0..200_000 {
-        let loads = run.loads();
         phase_thread_counts.insert(run.active_threads());
-        let rep = board.step(&loads);
-        run.advance(&rep.thread_progress);
+        let rep = board.step(run.loads());
+        run.advance(rep.thread_progress);
         if run.is_done() {
             break;
         }

@@ -140,28 +140,42 @@ pub struct PivotedQr {
 
 impl PivotedQr {
     /// Factors `a` with greedy column pivoting on residual column norms.
+    ///
+    /// Row-oriented: the residual column norms and the reflector dot
+    /// products are accumulated for all columns at once, row by row in
+    /// ascending order (the same per-column summation order as a column
+    /// loop), and the rank-1 updates are applied row by row. `Q` is built
+    /// transposed so its update is row-oriented too.
     pub fn new(a: &Mat) -> Self {
         let (m, n) = a.shape();
         let mut r = a.clone();
-        let mut q = Mat::identity(m);
+        let mut qt = Mat::identity(m);
         let mut piv: Vec<usize> = (0..n).collect();
+        let mut v = vec![0.0; m];
+        let mut acc = vec![0.0; n.max(m)];
+        let rs = r.as_mut_slice();
+        let qs = qt.as_mut_slice();
         let steps = n.min(m);
         for k in 0..steps {
             // Pick the column with the largest residual norm.
+            let norms = &mut acc[k..n];
+            norms.fill(0.0);
+            for row in rs.chunks_exact(n).skip(k) {
+                for (s, &x) in norms.iter_mut().zip(&row[k..]) {
+                    *s += x * x;
+                }
+            }
             let mut best_j = k;
             let mut best = -1.0;
-            for j in k..n {
-                let norm: f64 = (k..m).map(|i| r[(i, j)] * r[(i, j)]).sum();
+            for (j, &norm) in (k..n).zip(norms.iter()) {
                 if norm > best {
                     best = norm;
                     best_j = j;
                 }
             }
             if best_j != k {
-                for i in 0..m {
-                    let t = r[(i, k)];
-                    r[(i, k)] = r[(i, best_j)];
-                    r[(i, best_j)] = t;
+                for row in rs.chunks_exact_mut(n) {
+                    row.swap(k, best_j);
                 }
                 piv.swap(k, best_j);
             }
@@ -170,43 +184,24 @@ impl PivotedQr {
             }
             // Householder on column k.
             let norm = best.sqrt();
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
+            let alpha = if rs[k * n + k] >= 0.0 { -norm } else { norm };
             for i in k..m {
-                v[i] = r[(i, k)];
+                v[i] = rs[i * n + k];
             }
             v[k] -= alpha;
             let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
             if vnorm_sq < 1e-300 {
                 continue;
             }
-            for j in 0..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    r[(i, j)] -= s * v[i];
-                }
-            }
-            for j in 0..m {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * q[(j, i)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    q[(j, i)] -= s * v[i];
-                }
-            }
+            reflect_rows(&mut rs[k * n..], n, &v[k..], vnorm_sq, &mut acc[..n]);
+            reflect_rows(&mut qs[k * m..], m, &v[k..], vnorm_sq, &mut acc[..m]);
         }
         for i in 0..m {
             for j in 0..n.min(i) {
                 r[(i, j)] = 0.0;
             }
         }
-        PivotedQr { q, r, piv }
+        PivotedQr { q: qt.t(), r, piv }
     }
 
     /// The orthogonal factor.
@@ -240,6 +235,27 @@ impl PivotedQr {
     /// the first `rank` columns of `Q`.
     pub fn range_basis(&self, rank: usize) -> Mat {
         self.q.block(0, self.q.rows(), 0, rank)
+    }
+}
+
+/// Applies `H = I − 2·v·vᵀ/(vᵀv)` from the left to the row-major rows
+/// `a` (each `width` long, one per entry of `v`). Each column's `vᵀa` is
+/// summed in ascending row order into `s`, then every row gets the rank-1
+/// update `a[i][j] −= s[j]·v[i]`.
+fn reflect_rows(a: &mut [f64], width: usize, v: &[f64], vnorm_sq: f64, s: &mut [f64]) {
+    s.fill(0.0);
+    for (row, &vi) in a.chunks_exact(width).zip(v) {
+        for (dot, &x) in s.iter_mut().zip(row) {
+            *dot += vi * x;
+        }
+    }
+    for dot in s.iter_mut() {
+        *dot = 2.0 * *dot / vnorm_sq;
+    }
+    for (row, &vi) in a.chunks_exact_mut(width).zip(v) {
+        for (x, &sj) in row.iter_mut().zip(s.iter()) {
+            *x -= sj * vi;
+        }
     }
 }
 

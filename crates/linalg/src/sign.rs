@@ -5,6 +5,7 @@
 //! `(I − sign(H))/2` projects onto the stable invariant subspace of `H`,
 //! which is exactly what the continuous Riccati solver needs.
 
+use crate::lu::Lu;
 use crate::{Error, Mat, Result};
 
 /// Computes the matrix sign function of a square matrix with no eigenvalues
@@ -39,22 +40,36 @@ pub fn matrix_sign(a: &Mat) -> Result<Mat> {
     }
     let n = a.rows();
     let mut z = a.clone();
+    let mut znext = Mat::zeros(n, n);
     let max_iters = 100;
+    let singular = |_| Error::Singular { op: "matrix_sign" };
     for iter in 0..max_iters {
-        let zinv = z
-            .inverse()
-            .map_err(|_| Error::Singular { op: "matrix_sign" })?;
+        // One factorization per step serves both the inverse and the
+        // determinant.
+        let lu = Lu::new(&z).map_err(singular)?;
+        let zinv = lu.inverse().map_err(singular)?;
         // Determinant scaling accelerates convergence: c = |det Z|^(-1/n).
-        let det = z.det()?.abs();
+        let det = lu.det().abs();
         let c = if det > 1e-300 && det.is_finite() {
             det.powf(-1.0 / n as f64)
         } else {
             1.0
         };
-        let znext = &z.scale(c * 0.5) + &zinv.scale(0.5 / c);
-        let delta = (&znext - &z).fro_norm();
-        let scale = znext.fro_norm().max(1e-300);
-        z = znext;
+        // Z⁺ = (c/2)·Z + (1/(2c))·Z⁻¹, with ‖Z⁺ − Z‖_F and ‖Z⁺‖_F summed
+        // in the same pass and the same entry order.
+        let (sz, sinv) = (c * 0.5, 0.5 / c);
+        let mut delta_sq = 0.0;
+        let mut norm_sq = 0.0;
+        let entries = z.as_slice().iter().zip(zinv.as_slice());
+        for (next, (&zv, &iv)) in znext.as_mut_slice().iter_mut().zip(entries) {
+            *next = zv * sz + iv * sinv;
+            let d = *next - zv;
+            delta_sq += d * d;
+            norm_sq += *next * *next;
+        }
+        let delta = f64::sqrt(delta_sq);
+        let scale = f64::sqrt(norm_sq).max(1e-300);
+        std::mem::swap(&mut z, &mut znext);
         if !z.is_finite() {
             return Err(Error::NoConvergence {
                 op: "matrix_sign",

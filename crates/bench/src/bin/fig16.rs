@@ -11,7 +11,7 @@
 //!     the guardband).
 
 use yukta_bench::{eval_options, geomean, run_one, table_csv, write_results};
-use yukta_core::design::{DesignOptions, build_design};
+use yukta_core::design::{DesignOptions, GuardbandConfig, build_design};
 use yukta_core::runtime::Experiment;
 use yukta_core::schemes::Scheme;
 use yukta_workloads::catalog;
@@ -24,8 +24,14 @@ fn main() {
     let mut baseline_bounds: Option<Vec<f64>> = None;
     let mut rows_a = Vec::new();
     for g in guardbands {
+        // Auto-tuning would replace the swept radius with one derived
+        // from the validation residual; keep the sweep's value.
         let opts = DesignOptions {
             hw_uncertainty: g,
+            guardband: GuardbandConfig {
+                auto: false,
+                ..Default::default()
+            },
             ..Default::default()
         };
         match build_design(&opts) {

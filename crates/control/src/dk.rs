@@ -11,7 +11,7 @@ use yukta_linalg::ratfit::{self, RatSection};
 use yukta_linalg::{Error, Result};
 use yukta_obs::{Recorder, Value};
 
-use crate::hinf::{DgkfFactors, GenPlant, hinf_bisect_multi, hinf_bisect_multi_factored};
+use crate::hinf::{DgkfFactors, GenPlant, hinf_bisect, hinf_bisect_factored};
 use crate::mu::{log_grid, mu_peak, mu_peak_obs};
 use crate::plant::{SsvPlant, SsvSpec, build_ssv_plant};
 use crate::ss::StateSpace;
@@ -50,8 +50,8 @@ pub struct SsvSynthesis {
 pub struct DkOptions {
     /// Maximum D–K iterations.
     pub max_iters: usize,
-    /// γ-bisection iterations per K-step (the multi-candidate search
-    /// reaches the same bracket resolution in half as many rounds).
+    /// γ-bisection iterations per K-step (the quartile search reaches
+    /// the same bracket resolution in half as many rounds).
     pub gamma_iters: usize,
     /// Frequency-grid points for the µ sweep.
     pub n_freq: usize,
@@ -171,7 +171,7 @@ pub fn synthesize_ssv(model: &StateSpace, spec: &SsvSpec, opts: DkOptions) -> Re
 /// [`Recorder`]: one `dk.synthesize` span over the whole synthesis, a
 /// `dk.iteration` span per D–K iteration containing a `dk.k_step` span
 /// (plant scaling + factor extraction + synthesis) with a nested
-/// `dk.gamma_bisect` span around the multi-candidate γ-search, and a
+/// `dk.gamma_bisect` span around the γ-search, and a
 /// `dk.d_step` span around the µ sweep and scaling update (with a nested
 /// `mu.sweep` span). Every per-iteration span carries an `iter` field so
 /// `obs_report --phases dk` can attribute wall time per iteration.
@@ -224,7 +224,7 @@ pub fn synthesize_ssv_obs(
         };
         let (_, scaled, fac) = &fac_cache[cache_idx];
         let gb_span = yukta_obs::span(rec, "dk.gamma_bisect");
-        let bisect = hinf_bisect_multi_factored(scaled, fac, 0.05, 64.0, opts.gamma_iters);
+        let bisect = hinf_bisect_factored(scaled, fac, 0.05, 64.0, opts.gamma_iters);
         let (design, gamma) = match bisect {
             Ok(kg) => kg,
             Err(e) => {
@@ -314,13 +314,9 @@ pub fn synthesize_ssv_obs(
                     if shaped {
                         if let Ok(scaled) = plant.scaled_rational(&fitted) {
                             let fac = DgkfFactors::new(&scaled);
-                            if let Ok((design, gamma)) = hinf_bisect_multi_factored(
-                                &scaled,
-                                &fac,
-                                0.05,
-                                64.0,
-                                opts.gamma_iters,
-                            ) {
+                            if let Ok((design, gamma)) =
+                                hinf_bisect_factored(&scaled, &fac, 0.05, 64.0, opts.gamma_iters)
+                            {
                                 if let Ok(cl) = plant.gen.lft(&design.k) {
                                     if let Ok(peak) = mu_peak_obs(&cl, &blocks, &grid, rec) {
                                         iters += 1;
@@ -400,7 +396,7 @@ pub fn synthesize_on_plant(plant: &SsvPlant, opts: DkOptions) -> Result<SsvSynth
     opts.validate(plant.ts)?;
     let blocks = plant.mu_blocks();
     let grid = opts.grid(plant.ts);
-    let (design, gamma) = hinf_bisect_multi(&plant.gen, 0.05, 64.0, opts.gamma_iters)?;
+    let (design, gamma) = hinf_bisect(&plant.gen, 0.05, 64.0, opts.gamma_iters)?;
     let cl = plant.gen.lft(&design.k)?;
     let peak = mu_peak(&cl, &blocks, &grid)?;
     let controller = plant.deploy_anti_windup(&design)?;

@@ -339,8 +339,16 @@ fn hinf_syn_validated(p: &GenPlant, gamma: f64) -> Result<HinfDesign> {
 /// [`Error::NoSolution`] if `gamma` is infeasible (Riccati failure,
 /// indefinite solution, or spectral-radius coupling violation).
 pub fn hinf_syn_factored(p: &GenPlant, fac: &DgkfFactors, gamma: f64) -> Result<HinfDesign> {
+    let (x, y) = dgkf_solutions(fac, gamma)?;
+    central_controller(p, fac, gamma, &x, &y)
+}
+
+/// The DGKF existence conditions at `gamma`: stabilizing, positive
+/// semidefinite `X∞` and `Y∞` with `ρ(X∞Y∞) < γ²`. In exact arithmetic
+/// they hold exactly for γ above the optimal level, which is what lets
+/// the γ-search stop a round at the first candidate that fails them.
+fn dgkf_solutions(fac: &DgkfFactors, gamma: f64) -> Result<(Mat, Mat)> {
     let pb = &fac.pb;
-    let n = pb.a.rows();
     let g2 = gamma * gamma;
     // X∞: AᵀX + XA − X(B2B2ᵀ − γ⁻²B1B1ᵀ)X + C1ᵀC1 = 0
     let gx = &fac.b2b2t - &fac.b1b1t.scale(1.0 / g2);
@@ -369,17 +377,33 @@ pub fn hinf_syn_factored(p: &GenPlant, fac: &DgkfFactors, gamma: f64) -> Result<
             why: "spectral-radius coupling condition violated",
         });
     }
-    // Central controller.
-    let f = -&(&pb.b2.t() * &x);
-    let l = -&(&y * &pb.c2.t());
-    let z = (&Mat::identity(n) - &(&y * &x).scale(1.0 / g2))
+    Ok((x, y))
+}
+
+/// The central controller built from the DGKF solutions `x`, `y` at
+/// `gamma`, checked for internal stability. Its failures (a singular
+/// `Z∞`, an unstable loop, an eigenvalue iteration that does not
+/// converge) are numerical, not monotone in γ.
+fn central_controller(
+    p: &GenPlant,
+    fac: &DgkfFactors,
+    gamma: f64,
+    x: &Mat,
+    y: &Mat,
+) -> Result<HinfDesign> {
+    let pb = &fac.pb;
+    let n = pb.a.rows();
+    let g2 = gamma * gamma;
+    let f = -&(&pb.b2.t() * x);
+    let l = -&(y * &pb.c2.t());
+    let z = (&Mat::identity(n) - &(y * x).scale(1.0 / g2))
         .inverse()
         .map_err(|_| Error::NoSolution {
             op: "hinf_syn",
             why: "Z∞ singular at this gamma",
         })?;
     let zl = &z * &l;
-    let a_hat = &(&(&pb.a + &(&fac.b1b1t * &x).scale(1.0 / g2)) + &(&pb.b2 * &f)) + &(&zl * &pb.c2);
+    let a_hat = &(&(&pb.a + &(&fac.b1b1t * x).scale(1.0 / g2)) + &(&pb.b2 * &f)) + &(&zl * &pb.c2);
     let bk = -&zl;
     let ck = f;
     let dk = Mat::zeros(p.n_u, p.n_y);
@@ -422,164 +446,84 @@ fn probe_ceiling(p: &GenPlant, fac: &DgkfFactors, g_hi: f64) -> Result<(HinfDesi
     }
 }
 
-/// Bisects γ between `g_lo` and `g_hi` and returns the best controller
+/// Interior candidates per round of the γ-search: the bracket `[lo, hi]`
+/// is split at its geometric quartiles, so one round shrinks it to a
+/// quarter of its (geometric) width — the resolution of two midpoint
+/// halvings.
+const GAMMA_CANDIDATES: usize = 3;
+
+/// Searches γ between `g_lo` and `g_hi` and returns the best controller
 /// found with its achieved level.
+///
+/// After the ceiling probe, each round evaluates the quartile candidates
+/// `lo·(hi/lo)^(k/4)` from the top down (k = 3, 2, 1) and stops at the
+/// first one that fails the DGKF existence conditions: those hold for
+/// every γ above the optimum, so every candidate below fails them too.
+/// Of the candidates evaluated, the smallest feasible one becomes `hi`
+/// and the infeasible one below it `lo` (if none is feasible, `lo` moves
+/// to the top candidate). A round thus pays for at most one candidate
+/// that fails the conditions — the expensive kind. A candidate that
+/// passes them but whose central controller fails a numerical check does
+/// not stop the round. A budget of `iters` halvings maps to `⌈iters/2⌉`
+/// rounds; the search stops early once `hi/lo < 1.02`.
 ///
 /// # Errors
 ///
-/// Returns [`Error::NoSolution`] if even `g_hi` is infeasible.
+/// Returns [`Error::NoSolution`] if the plant violates the DGKF
+/// assumptions or even the (expanded) `g_hi` is infeasible.
 pub fn hinf_bisect(p: &GenPlant, g_lo: f64, g_hi: f64, iters: usize) -> Result<(HinfDesign, f64)> {
     // The DGKF assumptions do not depend on γ: check once here instead of
-    // on every bisection candidate. Likewise the Gram products.
+    // on every candidate. Likewise the Gram products.
     validate_dgkf_plant(p)?;
     let fac = DgkfFactors::new(p);
-    let mut best = probe_ceiling(p, &fac, g_hi)?;
-    let mut hi = best.1;
-    let mut lo = g_lo.min(hi * 0.5);
-    for _ in 0..iters {
-        let mid = (lo * hi).sqrt(); // geometric bisection suits γ's scale
-        match hinf_syn_factored(p, &fac, mid) {
-            Ok(k) => {
-                best = (k, mid);
-                hi = mid;
-            }
-            Err(_) => {
-                lo = mid;
-            }
-        }
-        if hi / lo < 1.02 {
-            break;
-        }
-    }
-    Ok(best)
+    hinf_bisect_factored(p, &fac, g_lo, g_hi, iters)
 }
 
-/// Interior candidates per round of the multi-candidate bisection: the
-/// bracket `[lo, hi]` is split at the geometric quartiles, so one round
-/// of 3 concurrent probes shrinks the bracket to a quarter of its
-/// (geometric) width — the resolution of two serial bisection steps.
-const GAMMA_CANDIDATES: usize = 3;
-
-/// Core of the multi-candidate γ-search. `probe_all` maps each candidate
-/// index to its synthesis result; the serial and parallel entry points
-/// differ *only* in how that map is executed, and
-/// [`crate::sweep::parallel_map`] returns results in index order, so both
-/// drivers make identical bracket decisions — bit-identical designs.
-fn bisect_multi_core<P>(
+/// [`hinf_bisect`] against caller-cached [`DgkfFactors`], for D–K loops
+/// that validate and factor the scaled plant once per iteration. `fac`
+/// must be `p`'s own factors and `p` must already satisfy
+/// [`check_dgkf_assumptions`].
+///
+/// # Errors
+///
+/// [`Error::NoSolution`] if even the (expanded) `g_hi` is infeasible.
+pub fn hinf_bisect_factored(
     p: &GenPlant,
     fac: &DgkfFactors,
     g_lo: f64,
     g_hi: f64,
     iters: usize,
-    probe_all: P,
-) -> Result<(HinfDesign, f64)>
-where
-    P: Fn(&[f64]) -> Vec<Option<HinfDesign>>,
-{
+) -> Result<(HinfDesign, f64)> {
     let mut best = probe_ceiling(p, fac, g_hi)?;
     let mut hi = best.1;
     let mut lo = g_lo.min(hi * 0.5);
-    // One round of GAMMA_CANDIDATES concurrent probes refines the bracket
-    // as much as two serial halvings, so a budget of `iters` serial steps
-    // maps to half as many rounds at the same final resolution.
-    let rounds = iters.div_ceil(2);
-    for _ in 0..rounds {
+    for _ in 0..iters.div_ceil(2) {
         let ratio = hi / lo;
-        let cands: Vec<f64> = (1..=GAMMA_CANDIDATES)
-            .map(|k| lo * ratio.powf(k as f64 / (GAMMA_CANDIDATES + 1) as f64))
-            .collect();
-        let results = probe_all(&cands);
-        // The smallest feasible candidate becomes the new ceiling; its
-        // infeasible left neighbour (if any) raises the floor.
-        match results.iter().position(|r| r.is_some()) {
+        let cands: [f64; GAMMA_CANDIDATES] = std::array::from_fn(|i| {
+            lo * ratio.powf((i + 1) as f64 / (GAMMA_CANDIDATES + 1) as f64)
+        });
+        let mut designs: [Option<HinfDesign>; GAMMA_CANDIDATES] = Default::default();
+        for j in (0..GAMMA_CANDIDATES).rev() {
+            let Ok((x, y)) = dgkf_solutions(fac, cands[j]) else {
+                break;
+            };
+            designs[j] = central_controller(p, fac, cands[j], &x, &y).ok();
+        }
+        match designs.iter().position(Option::is_some) {
             Some(j) => {
-                let design = results
-                    .into_iter()
-                    .nth(j)
-                    .flatten()
-                    .expect("position() found it");
-                best = (design, cands[j]);
+                best = (designs[j].take().expect("position() found it"), cands[j]);
                 hi = cands[j];
                 if j > 0 {
                     lo = cands[j - 1];
                 }
             }
-            None => {
-                lo = cands[GAMMA_CANDIDATES - 1];
-            }
+            None => lo = cands[GAMMA_CANDIDATES - 1],
         }
         if hi / lo < 1.02 {
             break;
         }
     }
     Ok(best)
-}
-
-/// Multi-candidate γ-bisection: each round evaluates
-/// [`GAMMA_CANDIDATES`] interior γ concurrently through
-/// [`crate::sweep::parallel_map`], sharing one set of [`DgkfFactors`].
-/// Results are bit-identical to [`hinf_bisect_multi_serial`] with the
-/// same arguments; the search reaches the same bracket resolution as
-/// [`hinf_bisect`] with `iters` serial steps in half as many rounds of
-/// wall-clock latency.
-///
-/// # Errors
-///
-/// Returns [`Error::NoSolution`] if even the (expanded) `g_hi` is
-/// infeasible.
-pub fn hinf_bisect_multi(
-    p: &GenPlant,
-    g_lo: f64,
-    g_hi: f64,
-    iters: usize,
-) -> Result<(HinfDesign, f64)> {
-    validate_dgkf_plant(p)?;
-    let fac = DgkfFactors::new(p);
-    hinf_bisect_multi_factored(p, &fac, g_lo, g_hi, iters)
-}
-
-/// [`hinf_bisect_multi`] against caller-cached [`DgkfFactors`], for D–K
-/// loops that validate and factor the scaled plant once per iteration.
-/// `fac` must be `p`'s own factors and `p` must already satisfy
-/// [`check_dgkf_assumptions`].
-///
-/// # Errors
-///
-/// Same as [`hinf_bisect_multi`].
-pub fn hinf_bisect_multi_factored(
-    p: &GenPlant,
-    fac: &DgkfFactors,
-    g_lo: f64,
-    g_hi: f64,
-    iters: usize,
-) -> Result<(HinfDesign, f64)> {
-    bisect_multi_core(p, fac, g_lo, g_hi, iters, |cands| {
-        crate::sweep::parallel_map(cands.len(), |i| hinf_syn_factored(p, fac, cands[i]).ok())
-    })
-}
-
-/// Single-threaded twin of [`hinf_bisect_multi`]: identical candidate
-/// schedule, identical bracket decisions, evaluated in index order on one
-/// thread. Exists so differential tests can pin the parallel search to
-/// the serial semantics.
-///
-/// # Errors
-///
-/// Same as [`hinf_bisect_multi`].
-pub fn hinf_bisect_multi_serial(
-    p: &GenPlant,
-    g_lo: f64,
-    g_hi: f64,
-    iters: usize,
-) -> Result<(HinfDesign, f64)> {
-    validate_dgkf_plant(p)?;
-    let fac = DgkfFactors::new(p);
-    bisect_multi_core(p, &fac, g_lo, g_hi, iters, |cands| {
-        cands
-            .iter()
-            .map(|&g| hinf_syn_factored(p, &fac, g).ok())
-            .collect()
-    })
 }
 
 /// Whether a symmetric matrix is positive semidefinite (within tolerance),
@@ -693,37 +637,6 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what} bits");
         }
-    }
-
-    #[test]
-    fn multi_bisect_bit_identical_to_serial_twin() {
-        let p = simple_plant(1.0);
-        let (kp, gp) = hinf_bisect_multi(&p, 0.1, 100.0, 20).unwrap();
-        let (ks, gs) = hinf_bisect_multi_serial(&p, 0.1, 100.0, 20).unwrap();
-        assert_eq!(gp.to_bits(), gs.to_bits());
-        assert_mat_bits_eq(kp.k.a(), ks.k.a(), "A");
-        assert_mat_bits_eq(kp.k.b(), ks.k.b(), "B");
-        assert_mat_bits_eq(kp.k.c(), ks.k.c(), "C");
-        assert_mat_bits_eq(&kp.a_hat, &ks.a_hat, "a_hat");
-        assert_mat_bits_eq(&kp.bk, &ks.bk, "bk");
-        assert_mat_bits_eq(&kp.f, &ks.f, "f");
-    }
-
-    #[test]
-    fn multi_bisect_achieves_gamma_bound() {
-        let p = simple_plant(1.0);
-        let (k, gamma) = hinf_bisect_multi(&p, 0.1, 100.0, 20).unwrap();
-        let cl = p.lft(&k.k).unwrap();
-        assert!(cl.is_stable().unwrap());
-        let norm = cl.hinf_norm_estimate(1e-3, 1e3, 400);
-        assert!(norm <= gamma * 1.05, "‖Tzw‖∞ = {norm} exceeds γ = {gamma}");
-        // The concurrent search must not be meaningfully looser than the
-        // serial one at the same step budget.
-        let (_, g_serial) = hinf_bisect(&p, 0.1, 100.0, 20).unwrap();
-        assert!(
-            gamma <= g_serial * 1.10,
-            "multi γ {gamma} vs serial {g_serial}"
-        );
     }
 
     #[test]

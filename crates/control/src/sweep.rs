@@ -270,48 +270,6 @@ where
     out
 }
 
-/// Deterministic parallel map over `0..n`: `f(i)` runs once per index on
-/// a round-robin worker assignment and results come back in index order,
-/// bit-identical to `(0..n).map(f)`. This is the fan-out behind parallel
-/// γ-bisection, where each index is one candidate γ probed through a full
-/// H∞ synthesis — heavy, uniform, and independent.
-pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let workers = cores.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut tagged: Vec<(usize, T)> = crossbeam::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < n {
-                        out.push((i, f(i)));
-                        i += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
-            .collect()
-    })
-    .expect("parallel_map scope");
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, v)| v).collect()
-}
-
 /// Maps `f` over every grid point, fanning out across cache-sized
 /// contiguous chunks on multi-core hosts. Results come back in grid order
 /// and are bit-identical to [`sweep_serial`] with the same arguments.
@@ -497,14 +455,6 @@ mod tests {
             Err(Error::SimdUnsupported { .. }) => {}
             Err(e) => panic!("unexpected error: {e}"),
         }
-    }
-
-    #[test]
-    fn parallel_map_is_index_ordered_and_complete() {
-        let vals = parallel_map(37, |i| 3 * i + 1);
-        assert_eq!(vals, (0..37).map(|i| 3 * i + 1).collect::<Vec<_>>());
-        let empty = parallel_map(0, |i| i);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -21,58 +21,48 @@ use crate::{Error, Mat, Result};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Qr {
-    q: Mat,
+    /// `Qᵀ`, kept transposed so each reflector updates it row by row.
+    qt: Mat,
     r: Mat,
 }
 
 impl Qr {
     /// Factors an `m × n` matrix with `m >= n` (thin factorization is not
     /// used; `Q` is full `m × m`).
+    ///
+    /// Row-oriented like [`PivotedQr::new`]: each reflector's dot products
+    /// are summed in ascending row order and applied to `R` and `Qᵀ` row
+    /// by row, the same arithmetic as the textbook column loops.
     pub fn new(a: &Mat) -> Self {
         let (m, n) = a.shape();
         let mut r = a.clone();
-        let mut q = Mat::identity(m);
+        let mut qt = Mat::identity(m);
+        let mut v = vec![0.0; m];
+        let mut acc = vec![0.0; n.max(m)];
+        let rs = r.as_mut_slice();
+        let qs = qt.as_mut_slice();
         for k in 0..n.min(m.saturating_sub(1)) {
             // Householder vector for column k.
             let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
+            for row in rs.chunks_exact(n).skip(k) {
+                norm += row[k] * row[k];
             }
             let norm = norm.sqrt();
             if norm < 1e-300 {
                 continue;
             }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
+            let alpha = if rs[k * n + k] >= 0.0 { -norm } else { norm };
             for i in k..m {
-                v[i] = r[(i, k)];
+                v[i] = rs[i * n + k];
             }
             v[k] -= alpha;
             let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
             if vnorm_sq < 1e-300 {
                 continue;
             }
-            // Apply H = I - 2 v vᵀ / (vᵀv) to R (left) and accumulate into Q.
-            for j in 0..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    r[(i, j)] -= s * v[i];
-                }
-            }
-            for j in 0..m {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * q[(j, i)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    q[(j, i)] -= s * v[i];
-                }
-            }
+            // Apply H = I - 2 v vᵀ / (vᵀv) to R and to Qᵀ, both from the left.
+            reflect_rows(&mut rs[k * n..], n, &v[k..], vnorm_sq, &mut acc[..n]);
+            reflect_rows(&mut qs[k * m..], m, &v[k..], vnorm_sq, &mut acc[..m]);
         }
         // Zero the strictly-lower part of R that should be exactly zero.
         for i in 0..m {
@@ -80,12 +70,12 @@ impl Qr {
                 r[(i, j)] = 0.0;
             }
         }
-        Qr { q, r }
+        Qr { qt, r }
     }
 
     /// The orthogonal factor `Q` (`m × m`).
     pub fn q(&self) -> Mat {
-        self.q.clone()
+        self.qt.t()
     }
 
     /// The upper-triangular factor `R` (`m × n`).
@@ -94,7 +84,8 @@ impl Qr {
     }
 
     /// Solves the least-squares problem `min ‖A·x − b‖₂` for full-column-rank
-    /// `A` via back substitution on `R·x = Qᵀ·b`.
+    /// `A` via back substitution on `R·x = Qᵀ·b`. Only the first `n` rows
+    /// of `Qᵀ·b` enter the back substitution, so only those are formed.
     ///
     /// # Errors
     ///
@@ -109,7 +100,7 @@ impl Qr {
                 rhs: b.shape(),
             });
         }
-        let qtb = &self.q.t() * b;
+        let qtb = &self.qt.block(0, n, 0, m) * b;
         let mut x = Mat::zeros(n, b.cols());
         for i in (0..n).rev() {
             let d = self.r[(i, i)];

@@ -1,8 +1,9 @@
 //! Bit-identity of the dense kernels under the Riccati solver.
 //!
-//! `Lu` (factor, solve, inverse, determinant), `matrix_sign` and
+//! `Lu` (factor, solve, inverse, determinant), `matrix_sign`, `Qr` and
 //! `PivotedQr::new` run on contiguous rows, share one factorization per
-//! Newton step and skip the structural zeros of the inverse. This file keeps
+//! Newton step, skip the structural zeros of the inverse and form only
+//! the rows of `Qᵀ·b` a least-squares solve reads. This file keeps
 //! the textbook loops they replaced as references and requires every output
 //! to match them with `to_bits` (any NaN counting as one pattern): on
 //! random sizes 1–100, under forced row swaps, exact-zero multipliers,
@@ -11,7 +12,7 @@
 //! row update to the scalar rounding.
 
 use yukta_linalg::lu::Lu;
-use yukta_linalg::qr::PivotedQr;
+use yukta_linalg::qr::{PivotedQr, Qr};
 use yukta_linalg::sign::matrix_sign;
 use yukta_linalg::{Error, Mat, Result};
 
@@ -162,6 +163,82 @@ mod reference {
             op: "matrix_sign",
             iters: max_iters,
         })
+    }
+
+    /// Column-oriented Householder QR with `Q` accumulated from the
+    /// right: `(Q, R)`.
+    pub fn qr(a: &Mat) -> (Mat, Mat) {
+        let (m, n) = a.shape();
+        let mut r = a.clone();
+        let mut q = Mat::identity(m);
+        for k in 0..n.min(m.saturating_sub(1)) {
+            let mut norm = 0.0;
+            for i in k..m {
+                norm += r[(i, k)] * r[(i, k)];
+            }
+            let norm = norm.sqrt();
+            if norm < 1e-300 {
+                continue;
+            }
+            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
+            let mut v = vec![0.0; m];
+            for i in k..m {
+                v[i] = r[(i, k)];
+            }
+            v[k] -= alpha;
+            let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
+            if vnorm_sq < 1e-300 {
+                continue;
+            }
+            for j in 0..n {
+                let mut dot = 0.0;
+                for i in k..m {
+                    dot += v[i] * r[(i, j)];
+                }
+                let s = 2.0 * dot / vnorm_sq;
+                for i in k..m {
+                    r[(i, j)] -= s * v[i];
+                }
+            }
+            for j in 0..m {
+                let mut dot = 0.0;
+                for i in k..m {
+                    dot += v[i] * q[(j, i)];
+                }
+                let s = 2.0 * dot / vnorm_sq;
+                for i in k..m {
+                    q[(j, i)] -= s * v[i];
+                }
+            }
+        }
+        for i in 0..m {
+            for j in 0..n.min(i) {
+                r[(i, j)] = 0.0;
+            }
+        }
+        (q, r)
+    }
+
+    /// Least squares by back substitution on `R·x = Qᵀ·b`, all `m` rows
+    /// of `Qᵀ·b` formed.
+    pub fn solve_least_squares(q: &Mat, r: &Mat, b: &Mat) -> Result<Mat> {
+        let n = r.cols();
+        let qtb = &q.t() * b;
+        let mut x = Mat::zeros(n, b.cols());
+        for i in (0..n).rev() {
+            let d = r[(i, i)];
+            if d.abs() < 1e-12 * r.max_abs().max(1e-30) {
+                return Err(Error::Singular { op: "qr_lstsq" });
+            }
+            for j in 0..b.cols() {
+                let mut acc = qtb[(i, j)];
+                for k in (i + 1)..n {
+                    acc -= r[(i, k)] * x[(k, j)];
+                }
+                x[(i, j)] = acc / d;
+            }
+        }
+        Ok(x)
     }
 
     /// Column-oriented column-pivoted Householder QR: `(Q, R, pivots)`.
@@ -325,6 +402,21 @@ fn check_qr(what: &str, a: &Mat) {
     assert!(bits(f.q()) == bits(&q), "{what}: Q");
     assert!(bits(f.r()) == bits(&r), "{what}: R");
     assert_eq!(f.pivots(), &piv[..], "{what}: pivots");
+}
+
+/// `Qr`'s factors and a least-squares solve against `rhs` columns of
+/// right-hand side, against the column-walking reference.
+fn check_plain_qr(what: &str, a: &Mat, rhs: usize, rng: &mut Rng) {
+    let f = Qr::new(a);
+    let (q, r) = reference::qr(a);
+    assert!(bits(&f.q()) == bits(&q), "{what}: Q");
+    assert!(bits(&f.r()) == bits(&r), "{what}: R");
+    let b = rng.mat(a.rows(), rhs);
+    same(
+        what,
+        f.solve_least_squares(&b).map(|x| bits(&x)),
+        reference::solve_least_squares(&q, &r, &b).map(|x| bits(&x)),
+    );
 }
 
 /// Replaces about one entry in `1/every` with an exact zero.
@@ -491,4 +583,46 @@ fn pivoted_qr_matches_reference() {
     bad[(3, 1)] = f64::INFINITY;
     bad[(5, 4)] = f64::NAN;
     check_qr("non-finite", &bad);
+}
+
+#[test]
+fn plain_qr_and_least_squares_match_reference() {
+    let mut rng = Rng(0x8u64);
+    for (m, n) in [
+        (1, 1),
+        (2, 1),
+        (5, 2),
+        (9, 9),
+        (40, 12),
+        (100, 7),
+        (130, 64),
+    ] {
+        let a = rng.mat(m, n);
+        check_plain_qr(&format!("dense {m}x{n}"), &a, 1 + rng.below(3), &mut rng);
+        let mut sparse = rng.mat(m, n);
+        sparsify(&mut sparse, 3, &mut rng);
+        check_plain_qr(&format!("sparse {m}x{n}"), &sparse, 2, &mut rng);
+    }
+    // The system-identification shape: an ARX regressor stacked on its
+    // ridge rows √λ·I, one right-hand-side column per output.
+    let (rows, k) = (704, 36);
+    let phi = rng.mat(rows, k);
+    let ridge = Mat::identity(k).scale(1e-3f64.sqrt());
+    let stacked = Mat::vstack(&phi, &ridge).unwrap();
+    check_plain_qr("ridge-stacked 740x36", &stacked, 3, &mut rng);
+    // Rank-deficient regressors: both sides must refuse them.
+    for (m, n) in [(3, 2), (20, 6), (90, 30)] {
+        let mut dup = rng.mat(m, n);
+        let mut zero = rng.mat(m, n);
+        for i in 0..m {
+            dup[(i, n - 1)] = dup[(i, 0)];
+            zero[(i, n / 2)] = 0.0;
+        }
+        for (kind, a) in [("repeated column", dup), ("zero column", zero)] {
+            let b = rng.mat(m, 2);
+            let got = Qr::new(&a).solve_least_squares(&b);
+            assert!(matches!(got, Err(Error::Singular { .. })), "{kind} {m}x{n}");
+            check_plain_qr(&format!("{kind} {m}x{n}"), &a, 2, &mut rng);
+        }
+    }
 }

@@ -100,31 +100,34 @@ fn run_cell(
     for &at in v.crashes {
         plan = plan.with_crash(at);
     }
-    let sup_cfg = SupervisorConfig::default();
-    // The crash-stripped twin: run_supervised_with_swap drops crash
-    // points, so the same plan doubles as the uninterrupted ground truth
-    // (swap variants), and run_supervised covers the swap-free ones.
-    let twin = match v.swap_at {
-        Some(at) => exp
-            .run_supervised_with_swap(wl, sup_cfg, Some(plan.clone()), at, None)
-            .expect("twin swap run"),
-        None => {
-            let mut stripped = plan.clone();
-            stripped.crashes.clear();
-            exp.run_supervised(wl, sup_cfg, Some(stripped))
-                .expect("twin supervised run")
-        }
-    };
+    let swap = v.swap_at.map(|at| SwapSpec {
+        at_step: at,
+        scheme: None,
+    });
+    // The uninterrupted ground truth: the same plan and swap with the
+    // crash points cleared and recovery off.
+    let mut stripped = plan.clone();
+    stripped.crashes.clear();
+    let twin = exp
+        .run_unified(
+            wl,
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                plan: Some(stripped),
+                swap,
+                recovery: None,
+                serving: None,
+            },
+        )
+        .expect("twin run")
+        .report;
     let run = exp
         .run_unified(
             wl,
             UnifiedOptions {
-                sup_cfg: Some(sup_cfg),
+                sup_cfg: Some(SupervisorConfig::default()),
                 plan: Some(plan),
-                swap: v.swap_at.map(|at| SwapSpec {
-                    at_step: at,
-                    scheme: None,
-                }),
+                swap,
                 recovery: Some(RecoveryOptions {
                     checkpoint_interval: 20,
                 }),

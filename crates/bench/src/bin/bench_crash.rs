@@ -1,9 +1,9 @@
 //! Crash-recovery campaign: crash points × checkpoint intervals × schemes
 //! × workloads, run under the crash-tolerant runtime (DESIGN.md §11).
 //!
-//! Every cell runs the same fault plan twice: once uninterrupted
-//! (`run_supervised`, which ignores crash points) as the ground truth, and
-//! once through `run_recoverable` with the plan's crashes firing. The
+//! Every cell runs the same fault plan twice through `run_unified`: once
+//! uninterrupted (no crash points, recovery off) as the ground truth, and
+//! once with recovery on and the plan's crashes firing. The
 //! campaign asserts, for **every** cell:
 //!
 //! 1. **100% recovery.** Every planned crash fires and is recovered; the
@@ -25,7 +25,7 @@ use yukta_bench::campaign::Campaign;
 use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
 use yukta_core::recorder::Journal;
-use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions};
+use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::{Workload, catalog};
@@ -73,8 +73,16 @@ fn main() {
             let plan = FaultPlan::uniform(seed, SEVERITY);
             // Uninterrupted ground truth: same plan, crashes never fire.
             let baseline = exp
-                .run_supervised(wl, SupervisorConfig::default(), Some(plan.clone()))
-                .expect("uninterrupted baseline run");
+                .run_unified(
+                    wl,
+                    UnifiedOptions {
+                        sup_cfg: Some(SupervisorConfig::default()),
+                        plan: Some(plan.clone()),
+                        ..Default::default()
+                    },
+                )
+                .expect("uninterrupted baseline run")
+                .report;
             let base_exd = baseline.metrics.exd();
             println!(
                 "[{}] {} uninterrupted E×D = {:.1} J·s over {} invocations",
@@ -95,12 +103,15 @@ fn main() {
                         crashed_plan = crashed_plan.with_crash(at);
                     }
                     let Some(rec) = camp.cell(&label, || {
-                        exp.run_recoverable(
+                        exp.run_unified(
                             wl,
-                            Some(SupervisorConfig::default()),
-                            Some(crashed_plan),
-                            RecoveryOptions {
-                                checkpoint_interval: interval,
+                            UnifiedOptions {
+                                sup_cfg: Some(SupervisorConfig::default()),
+                                plan: Some(crashed_plan),
+                                recovery: Some(RecoveryOptions {
+                                    checkpoint_interval: interval,
+                                }),
+                                ..Default::default()
                             },
                         )
                         .expect("recoverable run")

@@ -19,7 +19,7 @@
 use yukta_bench::campaign::Campaign;
 use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
-use yukta_core::runtime::{Experiment, RunOptions};
+use yukta_core::runtime::{Experiment, RunOptions, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::{Workload, catalog};
@@ -73,7 +73,15 @@ fn main() {
                 let plan = FaultPlan::uniform(seed, severity);
                 let label = format!("{} / {} @ severity {severity}", scheme.label(), wl.name);
                 let Some(outcome) = camp.cell(&label, || {
-                    exp.run_supervised(wl, SupervisorConfig::default(), Some(plan))
+                    exp.run_unified(
+                        wl,
+                        UnifiedOptions {
+                            sup_cfg: Some(SupervisorConfig::default()),
+                            plan: Some(plan),
+                            ..Default::default()
+                        },
+                    )
+                    .map(|run| run.report)
                 }) else {
                     continue;
                 };

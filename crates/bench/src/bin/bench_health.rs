@@ -13,15 +13,19 @@
 //!    (compute-bound → memory-bound plant) and an injected sensor-bias
 //!    onset must both be detected within 20 controller periods of the
 //!    ground-truth step, read from the run's own trace / fault schedule.
-//! 3. **Pure observation.** A monitored-but-not-acting run must be
-//!    bit-identical to the unmonitored supervised run, and the
-//!    disabled-monitor path (the seam compiled in, no tap attached) must
-//!    stay within 2% of supervised wall time (median of paired
-//!    back-to-back ratios); the enabled-monitor cost is reported
-//!    alongside, ungated. The timing gate only applies when telemetry
-//!    capture is off — with the recorder on, the monitored paths record
+//! 3. **Pure observation.** A monitored-but-not-acting run
+//!    (`run_adaptive` with `max_swaps: 0`) must be bit-identical to the
+//!    unmonitored supervised run, and the disabled-monitor path must stay
+//!    within 2% of supervised wall time (median of paired back-to-back
+//!    ratios); the enabled-monitor cost is reported alongside, ungated.
+//!    Every entry point drives the same run loop, and a run with no tap
+//!    attached *is* the supervised `run_unified`, so the gated pair runs
+//!    one code path and the gate bounds timing noise; the loop's own
+//!    overhead is bounded by the repo benchmark (`perfbench` fig9-grid
+//!    and serve-deploy). The timing gate only applies when telemetry
+//!    capture is off — with the recorder on, the monitored run records
 //!    events the bare run does not, so the ratio measures the recorder,
-//!    not the seam. Bit-identity is gated either way.
+//!    not the monitor. Bit-identity is gated either way.
 //! 4. **The closed loop pays for itself.** On the phase-change cell, the
 //!    observe→detect→re-identify→hot-swap cycle must complete with zero
 //!    mode-automaton invariant violations and improve E×D over the same
@@ -35,7 +39,7 @@ use std::time::Instant;
 use yukta_bench::campaign::Campaign;
 use yukta_bench::eval_options;
 use yukta_board::{FaultChannel, FaultKind, FaultPlan, ScheduledFault};
-use yukta_core::runtime::{AdaptiveOptions, Experiment, RunOptions};
+use yukta_core::runtime::{AdaptiveOptions, Experiment, RunOptions, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_obs::health::HealthConfig;
@@ -75,6 +79,15 @@ fn phase_change_workload() -> Workload {
             },
         ],
     })
+}
+
+/// Supervised run options with an optional fault plan.
+fn supervised(plan: Option<FaultPlan>) -> UnifiedOptions {
+    UnifiedOptions {
+        sup_cfg: Some(SupervisorConfig::default()),
+        plan,
+        ..Default::default()
+    }
 }
 
 /// Ground-truth phase-switch step: the first invocation whose trace
@@ -139,6 +152,7 @@ fn main() {
         let Some(run) = camp.cell(&label, || {
             exp.run_adaptive(
                 &stationary_wl,
+                supervised(None),
                 AdaptiveOptions {
                     health: cell_health,
                     ..Default::default()
@@ -211,6 +225,7 @@ fn main() {
             let run = exp
                 .run_adaptive(
                     &pc_wl,
+                    supervised(None),
                     AdaptiveOptions {
                         initial: Some(initial),
                         max_swaps: 1,
@@ -219,8 +234,9 @@ fn main() {
                 )
                 .expect("adaptive run");
             let baseline = base_exp
-                .run_supervised(&pc_wl, SupervisorConfig::default(), None)
-                .expect("non-adaptive baseline");
+                .run_unified(&pc_wl, supervised(None))
+                .expect("non-adaptive baseline")
+                .report;
             (run, baseline)
         });
         if let Some((run, baseline)) = cell {
@@ -328,8 +344,8 @@ fn main() {
         let cell = camp.cell(label, || {
             exp.run_adaptive(
                 &stationary_wl,
+                supervised(Some(plan.clone())),
                 AdaptiveOptions {
-                    plan: Some(plan.clone()),
                     max_swaps: 1,
                     ..Default::default()
                 },
@@ -388,21 +404,32 @@ fn main() {
             .expect("experiment construction")
             .with_options(options);
         let cell = camp.cell(label, || {
-            let base = exp
-                .run_supervised(&stationary_wl, SupervisorConfig::default(), None)
-                .expect("supervised run");
-            let (monitored, stats) = exp
-                .run_monitored(&stationary_wl, SupervisorConfig::default(), None, health)
-                .expect("monitored run");
-            let (disabled, _) = exp
-                .run_monitored_opt(&stationary_wl, SupervisorConfig::default(), None, None)
-                .expect("disabled-monitor run");
-            // The gated pair is supervised vs disabled-monitor (the seam
-            // compiled in, no tap attached — what a deployment ships with
-            // health telemetry off). The enabled-monitor cost is reported
-            // but not gated: it is microseconds of pure arithmetic per
-            // invocation against a 500 ms controller period in deployment,
-            // yet a double-digit fraction of this simulation's wall time.
+            let observer = AdaptiveOptions {
+                health,
+                max_swaps: 0,
+                ..Default::default()
+            };
+            let supervised_run = || {
+                exp.run_unified(&stationary_wl, supervised(None))
+                    .expect("supervised run")
+                    .report
+            };
+            let monitored_run = || {
+                exp.run_adaptive(&stationary_wl, supervised(None), observer.clone())
+                    .expect("monitored run")
+            };
+            let base = supervised_run();
+            let monitored = monitored_run();
+            let stats = monitored.health;
+            let monitored = monitored.report;
+            let disabled = supervised_run();
+            // The gated pair is supervised vs disabled-monitor (no tap
+            // attached — what a deployment ships with health telemetry
+            // off); both sides are the supervised run loop. The
+            // enabled-monitor cost is reported but not gated: it is
+            // microseconds of pure arithmetic per invocation against a
+            // 500 ms controller period in deployment, yet a double-digit
+            // fraction of this simulation's wall time.
             //
             // Each rep contributes one *paired* ratio per variant, with
             // the baseline and the variant alternated run-by-run inside
@@ -414,15 +441,11 @@ fn main() {
             // The gate takes the median over reps, so a scheduler burst
             // hitting one rep cannot swing the verdict.
             let inner = 4;
-            let sup_run = || {
-                exp.run_supervised(&stationary_wl, SupervisorConfig::default(), None)
-                    .expect("supervised rep");
-            };
             let time_pair = |variant: &dyn Fn()| {
                 let (mut t_sup, mut t_var) = (0.0, 0.0);
                 for _ in 0..inner {
                     let t0 = Instant::now();
-                    sup_run();
+                    supervised_run();
                     t_sup += t0.elapsed().as_secs_f64();
                     let t0 = Instant::now();
                     variant();
@@ -433,12 +456,10 @@ fn main() {
             let (mut sups, mut r_off, mut r_on) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..reps {
                 let (t_sup, off) = time_pair(&|| {
-                    exp.run_monitored_opt(&stationary_wl, SupervisorConfig::default(), None, None)
-                        .expect("disabled-monitor rep");
+                    supervised_run();
                 });
                 let (_, on) = time_pair(&|| {
-                    exp.run_monitored(&stationary_wl, SupervisorConfig::default(), None, health)
-                        .expect("monitored rep");
+                    monitored_run();
                 });
                 sups.push(t_sup);
                 r_off.push(off);
@@ -458,7 +479,7 @@ fn main() {
                 camp.fail(&format!("{label}: monitoring perturbed the run"));
             }
             if !disabled.bit_identical(&base) {
-                camp.fail(&format!("{label}: the disabled seam perturbed the run"));
+                camp.fail(&format!("{label}: the disabled-monitor run diverged"));
             }
             if stats.samples != monitored.trace.samples.len() as u64 {
                 camp.fail(&format!(
@@ -467,11 +488,11 @@ fn main() {
                     monitored.trace.samples.len()
                 ));
             }
-            // With the global recorder capturing, the monitored variants
-            // append events the bare supervised run does not, so the
-            // paired ratio times the recorder rather than the monitor
-            // seam; the instrumented CI job exists for the telemetry
-            // stream, and the overhead gate belongs to the bare job.
+            // With the global recorder capturing, the monitored run
+            // appends events the bare supervised run does not, so the
+            // paired ratio times the recorder rather than the monitor;
+            // the instrumented CI job exists for the telemetry stream,
+            // and the overhead gate belongs to the bare job.
             let instrumented = yukta_bench::obs::requested();
             if instrumented {
                 println!("  [{label}] telemetry capture on: overhead reported, not gated");

@@ -72,7 +72,7 @@ pub enum FaultKind {
     /// The controller process dies at the start of invocation `at_step`
     /// (counted in completed controller invocations). Injected by the
     /// runtime loop — the board itself never panics — and recovered by
-    /// `Experiment::run_recoverable`.
+    /// `Experiment::run_unified` with recovery enabled.
     Crash {
         /// Invocation index at which the crash fires.
         at_step: u64,

@@ -26,7 +26,7 @@ proptest! {
 
     /// The same (seed, channel) pair reproduces the identical PRBS and
     /// multisine records, and a different seed produces a different one —
-    /// the determinism contract `run_recoverable` replay leans on.
+    /// the determinism contract crash-recovery replay leans on.
     #[test]
     fn excitation_is_deterministic_in_the_seed(
         seed in 0u64..u64::MAX,

@@ -27,8 +27,9 @@
 //!   and re-engages them with hysteresis — as a thin driver of [`modes`].
 //! * [`recorder`] — the crash-tolerance flight recorder: an append-only
 //!   journal of every invocation with a compact binary wire format and a
-//!   bit-exact replay verifier, feeding
-//!   [`runtime::Experiment::run_recoverable`]'s checkpoint/restore path.
+//!   bit-exact replay verifier, feeding the checkpoint/restore path of
+//!   [`runtime::Experiment::run_unified`] with
+//!   [`runtime::UnifiedOptions::recovery`] enabled.
 //!
 //! ```no_run
 //! use yukta_core::runtime::Experiment;

@@ -4,7 +4,8 @@
 //! full sensor vector handed to the controllers, the actuation they
 //! produced, the supervisor's mode decision, and any fault events injected
 //! during that period. Together with the periodic checkpoints taken by
-//! [`crate::runtime::Experiment::run_recoverable`], the journal makes a
+//! [`crate::runtime::Experiment::run_unified`] (with
+//! [`crate::runtime::UnifiedOptions::recovery`]), the journal makes a
 //! crashed run resumable: restore the latest checkpoint, replay the journal
 //! suffix, and continue — bit-identically to a run that never crashed.
 //!

@@ -2,13 +2,16 @@
 //! workload, invoking each controller every 500 ms exactly as the
 //! prototype's privileged processes did.
 //!
-//! Besides the plain run paths, the runtime is *crash-tolerant*
-//! (DESIGN.md §11): [`Experiment::run_recoverable`] journals every
+//! Every entry point drives one loop whose pass is one controller period
+//! (sense, invoke both layers, actuate); supervision, fault injection, a
+//! scheduled hot-swap, crash recovery, request serving and the adaptive
+//! health policy are hooks on that pass. With recovery enabled the
+//! runtime is *crash-tolerant* (DESIGN.md §11): it journals every
 //! invocation into a [`Journal`], checkpoints the complete resumable state
 //! periodically, injects controller-process crashes from the fault plan
 //! ([`yukta_board::FaultKind::Crash`]), and recovers by restoring the
-//! latest checkpoint and replaying the journal suffix — bit-identically to
-//! a run that never crashed.
+//! latest checkpoint and replaying the journal suffix through the same
+//! pass — bit-identically to a run that never crashed.
 
 use std::panic::{AssertUnwindSafe, catch_unwind, resume_unwind};
 use std::sync::Arc;
@@ -21,6 +24,7 @@ use yukta_linalg::{Error, Result};
 use yukta_obs::{ObsHandle, Recorder, Value};
 use yukta_workloads::{Traffic, TrafficConfig, Workload, WorkloadRun};
 
+use yukta_control::ss::StateSpace;
 use yukta_control::sysid::{fit_arx, validation_residual};
 use yukta_obs::health::{HealthConfig, HealthStats, HealthVerdict};
 
@@ -55,6 +59,20 @@ enum EngineState {
 }
 
 impl Engine {
+    /// Wraps `c` in the fault-containment supervisor when `sup_cfg` is
+    /// set, and otherwise runs it raw under its own automaton. Recovery
+    /// rebuilds the engine through the same constructor (a crashed daemon
+    /// restarts from its binary, not from its heap).
+    fn new(c: Controllers, sup_cfg: Option<SupervisorConfig>) -> Engine {
+        match sup_cfg {
+            None => Engine::Raw {
+                c,
+                auto: ModeAutomaton::new(ModeConfig::default()),
+            },
+            Some(cfg) => Engine::Supervised(Box::new(Supervisor::new(c, cfg))),
+        }
+    }
+
     fn invoke(&mut self, hw_sense: &HwSense, os_sense: &OsSense) -> Result<(HwInputs, OsInputs)> {
         match self {
             Engine::Raw { c, auto } => {
@@ -171,12 +189,14 @@ impl Engine {
         }
     }
 
-    /// Commits a hot-swap of the serving controllers for a freshly
-    /// synthesized replacement (adaptive resynthesis, DESIGN.md §13),
-    /// routed through the automaton's request→commit protocol (a direct
-    /// call is an atomic request+commit). State transfers bumplessly when
-    /// the replacement has the same shape; otherwise it starts from reset.
-    /// Returns `true` when the transfer was bumpless.
+    /// Commits a hot-swap of the serving controllers for a fresh
+    /// instantiation of a scheme from the experiment's cached design (a
+    /// scheduled [`SwapSpec`] or the adaptive policy; neither
+    /// resynthesizes), routed through the automaton's request→commit
+    /// protocol (a direct call is an atomic request+commit). State
+    /// transfers bumplessly when the replacement has the same shape;
+    /// otherwise it starts from reset. Returns `true` when the transfer
+    /// was bumpless.
     fn swap_primary(&mut self, mut next: Controllers) -> bool {
         match self {
             Engine::Raw { c, auto } => {
@@ -207,9 +227,9 @@ fn mode_label(mode: Option<SupervisorMode>) -> &'static str {
 
 /// The panic payload of an injected controller-process crash
 /// ([`yukta_board::FaultKind::Crash`]). Thrown inside the runtime loop via
-/// [`std::panic::panic_any`] and caught by
-/// [`Experiment::run_recoverable`]'s `catch_unwind`; any other panic is a
-/// real bug and is re-raised.
+/// [`std::panic::panic_any`] and caught by the loop's `catch_unwind` when
+/// [`UnifiedOptions::recovery`] is enabled; any other panic is a real bug
+/// and is re-raised.
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedCrash {
     /// Invocation index at which the crash fired.
@@ -242,7 +262,7 @@ impl Default for RunOptions {
 }
 
 /// Options controlling the crash-tolerance machinery of
-/// [`Experiment::run_recoverable`].
+/// [`Experiment::run_unified`] ([`UnifiedOptions::recovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
     /// Checkpoint every this many controller invocations (clamped to ≥ 1).
@@ -356,7 +376,7 @@ pub struct UnifiedOptions {
     /// (validated via [`SupervisorConfig::validate`]).
     pub sup_cfg: Option<SupervisorConfig>,
     /// Fault-injection plan corrupting the board interface; its crash
-    /// points fire only when `recovery` is enabled.
+    /// points require `recovery`.
     pub plan: Option<FaultPlan>,
     /// One mid-run controller hot-swap.
     pub swap: Option<SwapSpec>,
@@ -368,16 +388,11 @@ pub struct UnifiedOptions {
     pub serving: Option<ServingSpec>,
 }
 
-/// Configuration of [`Experiment::run_adaptive`]: a supervised run whose
-/// health detectors drive re-identification and controller hot-swaps.
+/// The health policy of [`Experiment::run_adaptive`]: the monitor that
+/// observes the run and the detector-triggered hot-swaps it may commit.
+/// Supervision and the fault plan come from the run's [`UnifiedOptions`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveOptions {
-    /// Supervisor configuration (validated via
-    /// [`SupervisorConfig::validate`]).
-    pub sup_cfg: SupervisorConfig,
-    /// Fault-injection plan corrupting the board interface (crash points
-    /// are not fired on this path).
-    pub plan: Option<FaultPlan>,
     /// Health monitor configuration (validated via
     /// [`HealthConfig::validate`]).
     pub health: HealthConfig,
@@ -385,15 +400,14 @@ pub struct AdaptiveOptions {
     /// experiment's own scheme (each swap always installs the
     /// experiment's scheme).
     pub initial: Option<Scheme>,
-    /// Cap on detector-triggered hot-swaps for the whole run.
+    /// Cap on detector-triggered hot-swaps for the whole run; `0`
+    /// attaches the monitor as a pure observer.
     pub max_swaps: u32,
 }
 
 impl Default for AdaptiveOptions {
     fn default() -> Self {
         AdaptiveOptions {
-            sup_cfg: SupervisorConfig::default(),
-            plan: None,
             health: HealthConfig::default(),
             initial: None,
             max_swaps: 1,
@@ -432,7 +446,7 @@ pub struct AdaptiveRun {
     pub invariant_violations: u64,
 }
 
-/// The outcome of [`Experiment::run_recoverable`].
+/// The outcome of [`Experiment::run_unified`].
 #[derive(Debug)]
 pub struct RecoveredRun {
     /// The run's report — bit-identical to an uninterrupted run.
@@ -504,6 +518,174 @@ struct Checkpoint {
     journal_len: usize,
 }
 
+/// The crash-tolerance hook of the run loop: the latest checkpoint, the
+/// plan's pending crash points and, after a crash, the replay of the
+/// journal suffix past the checkpoint.
+struct Recovery<'r> {
+    interval: u64,
+    ckpt: Checkpoint,
+    /// Crash points, soonest first; consumed as they fire so recovery
+    /// does not re-crash at the same step.
+    pending: Vec<u64>,
+    report: RecoveryReport,
+    /// The replay in progress. While it runs, the loop's passes check
+    /// their records against the journal instead of appending them, and
+    /// take no checkpoint and fire no crash.
+    replay: Option<Replay<'r>>,
+}
+
+/// A recovery replaying the journal suffix past its checkpoint.
+struct Replay<'r> {
+    /// Index of the journal record the next pass must reproduce.
+    next: usize,
+    span: yukta_obs::Span<'r>,
+}
+
+impl Recovery<'_> {
+    /// Checkpoints the run when it reaches a new multiple of the interval.
+    fn checkpoint(
+        &mut self,
+        rec: &dyn Recorder,
+        st: &RunState,
+        engine: &Engine,
+        journal_len: usize,
+    ) {
+        if st.step <= self.ckpt.state.step || !st.step.is_multiple_of(self.interval) {
+            return;
+        }
+        let span = yukta_obs::span(rec, "runtime.checkpoint");
+        self.ckpt = Checkpoint {
+            state: st.clone(),
+            engine: engine.save_state(),
+            journal_len,
+        };
+        self.report.checkpoints += 1;
+        if rec.enabled() {
+            span.end_with(&[
+                ("step", Value::U64(st.step)),
+                ("journal_len", Value::U64(journal_len as u64)),
+            ]);
+        }
+    }
+
+    /// Checks one replayed pass against the journal record it must
+    /// reproduce, and ends the replay once the suffix is exhausted. A run
+    /// that ends inside the suffix is a divergence: the journal says the
+    /// invocation completed.
+    fn check_replayed(
+        &mut self,
+        rec: &dyn Recorder,
+        record: Option<&JournalRecord>,
+        journal: &Journal,
+        engine: &mut Engine,
+        st: &RunState,
+    ) {
+        let Some(replay) = self.replay.as_mut() else {
+            return;
+        };
+        let more = match record {
+            Some(r) => {
+                self.report.replayed_records += 1;
+                if !r.bit_identical(&journal.records()[replay.next]) {
+                    self.report.replay_divergences += 1;
+                }
+                replay.next += 1;
+                replay.next < journal.len()
+            }
+            None => {
+                self.report.replay_divergences += 1;
+                false
+            }
+        };
+        if !more {
+            self.end_replay(rec, engine, st, journal.len());
+        }
+    }
+
+    fn end_replay(
+        &mut self,
+        rec: &dyn Recorder,
+        engine: &mut Engine,
+        st: &RunState,
+        journal_len: usize,
+    ) {
+        let Some(replay) = self.replay.take() else {
+            return;
+        };
+        engine.end_recovery();
+        self.report.recoveries += 1;
+        if rec.enabled() {
+            replay.span.end_with(&[
+                ("step", Value::U64(st.step)),
+                (
+                    "replayed",
+                    Value::U64((journal_len - self.ckpt.journal_len) as u64),
+                ),
+                ("divergences", Value::U64(self.report.replay_divergences)),
+            ]);
+        }
+    }
+}
+
+/// The adaptive hook of the run loop: the health tap observing every
+/// record and the detect → re-identify → hot-swap cycles it commits.
+struct Adaptation {
+    tap: HealthTap,
+    max_swaps: u32,
+    /// Invocation whose `PhaseChange` verdict awaits its swap, one period
+    /// later.
+    pending_detect: Option<u64>,
+    cycles: Vec<SwapCycle>,
+}
+
+impl Adaptation {
+    /// Feeds one record to the tap and, on a `PhaseChange` verdict while
+    /// swaps remain, schedules a swap for the next period.
+    fn observe(&mut self, rec: &dyn Recorder, record: &JournalRecord) {
+        let verdict = self.tap.observe(record);
+        if rec.enabled() {
+            emit_verdict(rec, record.step, verdict);
+        }
+        if let HealthVerdict::PhaseChange { .. } = verdict {
+            if (self.cycles.len() as u32) < self.max_swaps {
+                self.pending_detect = Some(record.step);
+            }
+        }
+    }
+
+    /// Re-identifies the plant from the tap's retained window, returning
+    /// the refit model (`None` when the regression failed and the swap
+    /// proceeds against the original model) and the worst-output relative
+    /// RMS residual on its own training window (−1.0 on failure).
+    fn refit(&self, rec: &dyn Recorder, step: u64) -> (Option<StateSpace>, f64) {
+        // The orders mirror the design pipeline's; ridge regularization
+        // keeps the regression posed on closed-loop data (inputs
+        // correlate with outputs).
+        let refit_cfg = yukta_control::sysid::SysIdConfig {
+            na: 2,
+            nb: 2,
+            nc: 0,
+            plr_iters: 0,
+            ridge: 1e-4,
+        };
+        let (u, y) = self.tap.history();
+        let refit = fit_arx(u, y, refit_cfg)
+            .and_then(|m| validation_residual(u, y, &m).map(|r| (m.sys, r)))
+            .ok();
+        let fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
+        if rec.enabled() {
+            rec.event(
+                "health.refit",
+                &[
+                    ("step", Value::U64(step)),
+                    ("fit_residual", Value::F64(fit_residual)),
+                ],
+            );
+        }
+        (refit.map(|(m, _)| m), fit_residual)
+    }
+}
+
 /// An experiment: a scheme plus the design artifacts it deploys.
 pub struct Experiment {
     scheme: Scheme,
@@ -544,7 +726,7 @@ impl Experiment {
     /// cache, so the design is built once and replayed bit-identically)
     /// and the board RNG (`RunOptions::board_seed`). Two experiments
     /// created with the same seed produce bit-identical designs and runs —
-    /// the contract `run_recoverable`'s crash-replay depends on.
+    /// the contract crash-recovery replay depends on.
     ///
     /// Note that a later `with_options` call replaces the whole
     /// [`RunOptions`], including the board seed set here.
@@ -619,7 +801,8 @@ impl Experiment {
     }
 
     /// Runs with externally supplied controllers (used by the fixed-target
-    /// and sensitivity experiments).
+    /// and sensitivity experiments) on the raw engine: no supervisor,
+    /// faults, swap, recovery or serving.
     ///
     /// # Errors
     ///
@@ -629,330 +812,121 @@ impl Experiment {
         workload: &Workload,
         controllers: Controllers,
     ) -> Result<Report> {
-        self.execute(
+        let run = self.drive(
             workload,
-            Engine::Raw {
-                c: controllers,
-                auto: ModeAutomaton::new(ModeConfig::default()),
-            },
+            &UnifiedOptions::default(),
+            controllers,
             None,
-        )
-    }
-
-    /// Runs the workload under the fault-containment supervisor, optionally
-    /// with a fault-injection plan corrupting the board interface.
-    ///
-    /// With `plan = None` (or a zero-severity plan) the supervisor is
-    /// transparent and the resulting metrics are bit-identical to
-    /// [`Experiment::run`]. Crash points in the plan are ignored here —
-    /// only [`Experiment::run_recoverable`] injects them — so a plan with
-    /// crashes runs uninterrupted, which is exactly the baseline the
-    /// recovery verifier compares against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-instantiation failures; the supervised loop
-    /// itself never returns a controller error.
-    pub fn run_supervised(
-        &self,
-        workload: &Workload,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-    ) -> Result<Report> {
-        let controllers = self.scheme.instantiate(&self.design, self.options.limits)?;
-        self.run_supervised_with_controllers(workload, controllers, sup_cfg, plan)
-    }
-
-    /// [`Experiment::run_supervised`] with externally supplied controllers
-    /// (property tests use cheap hand-built controller instances).
-    ///
-    /// # Errors
-    ///
-    /// Infallible at present; fallible signature for uniformity.
-    pub fn run_supervised_with_controllers(
-        &self,
-        workload: &Workload,
-        controllers: Controllers,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-    ) -> Result<Report> {
-        let sup = Box::new(Supervisor::new(controllers, sup_cfg));
-        self.execute(workload, Engine::Supervised(sup), plan)
-    }
-
-    /// [`Experiment::run_supervised`] with one mid-run controller swap:
-    /// just before invocation `swap_at`, the serving controllers are
-    /// hot-swapped for `next` (or, with `next = None`, for a fresh
-    /// instantiation of the same scheme — the zero-change resynthesis
-    /// case, whose run is bit-identical to an unswapped one because the
-    /// synthesis pipeline is deterministic and the transfer is bumpless).
-    /// Emits a `runtime.resynth` event recording the step and whether the
-    /// transfer was bumpless.
-    ///
-    /// This is the deployment seam for in-loop resynthesis: a background
-    /// D–K synthesis (fast enough to fit inside one controller period
-    /// after the batched-D/parallel-γ work, see `yukta_control::dk`)
-    /// produces `next`, and the runtime installs it between invocations
-    /// with no actuation gap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-instantiation failures.
-    pub fn run_supervised_with_swap(
-        &self,
-        workload: &Workload,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-        swap_at: u64,
-        next: Option<Controllers>,
-    ) -> Result<Report> {
-        // Crash points are documented as ignored on this path; strip them
-        // so the unified runner does not demand recovery options. Crashes
-        // never touch the injector RNG or the fault report, so the strip
-        // is bit-invisible.
-        let plan = plan.map(|mut p| {
-            p.crashes.clear();
-            p
-        });
-        let run = self.run_unified_impl(
-            workload,
-            UnifiedOptions {
-                sup_cfg: Some(sup_cfg),
-                plan,
-                swap: Some(SwapSpec {
-                    at_step: swap_at,
-                    scheme: None,
-                }),
-                recovery: None,
-                serving: None,
-            },
-            next,
+            false,
         )?;
         Ok(run.report)
     }
 
-    /// [`Experiment::run_supervised`] with the loop-health monitor
-    /// attached as a pure observer (DESIGN.md §16): every invocation
-    /// record is distilled into health signals and streamed through the
-    /// drift/phase-change detectors, but no verdict ever acts on the run.
-    /// The [`Report`] is bit-identical to [`Experiment::run_supervised`]
-    /// with the same inputs — the monitor never touches the board, the
-    /// engine, or the RNG streams, and telemetry is emitted only when the
-    /// recorder is enabled.
+    /// The composed entry point: any mix of supervision, fault injection,
+    /// a mid-run hot-swap, crash recovery and request serving, all flowing
+    /// through the checked mode automaton — including a crash that lands
+    /// between swap-request and swap-commit, which recovery replays to a
+    /// bit-identical outcome.
+    ///
+    /// A supervised run with no plan (or a zero-severity one) is
+    /// bit-identical to [`Experiment::run`]: the supervisor is
+    /// transparent. With `recovery` set, every invocation is journaled,
+    /// the complete run state is checkpointed every
+    /// [`RecoveryOptions::checkpoint_interval`] invocations, and the
+    /// plan's crash points ([`FaultPlan::with_crash`]) kill the controller
+    /// process mid-invocation. Each crash is recovered by rebuilding the
+    /// engine from scratch, restoring the latest checkpoint, and replaying
+    /// the journal suffix, verified bit-for-bit against the journal.
+    /// Crashes are driven by the invocation counter and reported
+    /// out-of-band in the [`RecoveryReport`], so they never perturb the
+    /// fault-injection RNG stream or the plant: the recovered report is
+    /// bit-identical to the same run with the crash points cleared and
+    /// recovery off.
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`];
-    /// propagates controller-instantiation failures.
-    pub fn run_monitored(
-        &self,
-        workload: &Workload,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-        health: HealthConfig,
-    ) -> Result<(Report, HealthStats)> {
-        let (report, stats) = self.run_monitored_opt(workload, sup_cfg, plan, Some(health))?;
-        Ok((report, stats.expect("monitor was attached")))
-    }
-
-    /// [`Experiment::run_monitored`] with the monitor optional: `None`
-    /// runs the same loop with the monitoring seam compiled in but no tap
-    /// attached — the disabled-monitor configuration a deployment ships
-    /// when health telemetry is off, and the one whose overhead
-    /// `bench_health` gates against plain [`Experiment::run_supervised`].
+    /// Typed [`yukta_linalg::Error::NoSolution`] on invalid combinations:
+    /// a flapping-prone supervisor configuration
+    /// ([`SupervisorConfig::validate`]), an invalid [`ServingSpec`], or
+    /// crash points in the plan without recovery enabled. Propagates
+    /// controller-instantiation and restore failures.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`];
-    /// propagates controller-instantiation failures.
-    pub fn run_monitored_opt(
-        &self,
-        workload: &Workload,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-        health: Option<HealthConfig>,
-    ) -> Result<(Report, Option<HealthStats>)> {
-        let mut tap = match health {
-            Some(cfg) => Some(self.build_tap(cfg)?),
-            None => None,
-        };
+    /// Re-raises non-injected panics from the controller stack.
+    pub fn run_unified(&self, workload: &Workload, opts: UnifiedOptions) -> Result<RecoveredRun> {
         let controllers = self.scheme.instantiate(&self.design, self.options.limits)?;
-        let mut engine = Engine::Supervised(Box::new(Supervisor::new(controllers, sup_cfg)));
-        let mut st = self.init_state(workload, plan.as_ref(), None);
-        while !st.done {
-            if let Some(record) = self.step_invocation(&mut st, &mut engine, false)? {
-                if let Some(tap) = tap.as_mut() {
-                    let verdict = tap.observe(&record);
-                    let rec = self.rec();
-                    if rec.enabled() {
-                        emit_verdict(rec, record.step, verdict);
-                    }
-                }
-            }
-        }
-        if let Some(tap) = tap.as_ref() {
-            let rec = self.rec();
-            if rec.enabled() {
-                tap.publish(rec);
-            }
-        }
-        let report = self.finish(st, &engine, plan.as_ref(), workload);
-        Ok((report, tap.map(|t| t.stats())))
+        self.drive(workload, &opts, controllers, None, true)
     }
 
-    /// Closes the observe → detect → re-identify → hot-swap loop: the
-    /// health monitor watches the run as in [`Experiment::run_monitored`],
-    /// and on a `PhaseChange` verdict the runtime re-identifies the plant
-    /// from the tap's retained history ([`fit_arx`] over the last ≤ 128 s
-    /// of normalized records), installs the refit model as the tap's new
-    /// residual reference, and hot-swaps the serving controllers for a
-    /// fresh instantiation of the experiment's scheme through the
-    /// [`ModeAutomaton`]'s request→commit protocol — the same seam
-    /// [`Experiment::run_supervised_with_swap`] uses, so every swap is
+    /// [`Experiment::run_unified`] with the loop-health monitor attached
+    /// (DESIGN.md §16): every invocation record is distilled into health
+    /// signals and streamed through the drift/phase-change detectors. On a
+    /// `PhaseChange` verdict, while fewer than
+    /// [`AdaptiveOptions::max_swaps`] swaps have committed, the runtime
+    /// re-identifies the plant from the tap's retained history
+    /// ([`fit_arx`] over the last ≤ 128 s of normalized records), installs
+    /// the refit model as the tap's new residual reference, and in the
+    /// next period hot-swaps the serving controllers for a fresh
+    /// instantiation of the experiment's scheme from its cached design.
+    /// Nothing is resynthesized. The swap goes through the same
+    /// request→commit helper as a scheduled [`SwapSpec`], so every swap is
     /// audited for actuation gaps and dual writers.
     ///
+    /// With `max_swaps: 0` the monitor is a pure observer: the report is
+    /// bit-identical to [`Experiment::run_unified`] with the same options,
+    /// because the monitor never touches the board, the engine, or the RNG
+    /// streams, and emits telemetry only when the recorder is enabled.
     /// With [`AdaptiveOptions::initial`] set, the run *starts* on that
-    /// scheme and each swap installs the experiment's own scheme — the
-    /// adapt-under-phase-change deployment story: a conservative
-    /// controller serves until the detectors prove the plant moved, then
-    /// the full synthesis takes over.
+    /// scheme and each swap installs the experiment's own scheme.
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`] or
-    /// supervisor configuration; propagates controller-instantiation
-    /// failures.
-    pub fn run_adaptive(&self, workload: &Workload, opts: AdaptiveOptions) -> Result<AdaptiveRun> {
-        opts.sup_cfg.validate()?;
-        let mut tap = self.build_tap(opts.health)?;
-        let start_scheme = opts.initial.unwrap_or(self.scheme);
-        let controllers = start_scheme.instantiate(&self.design, self.options.limits)?;
-        let mut engine = Engine::Supervised(Box::new(Supervisor::new(controllers, opts.sup_cfg)));
-        let mut st = self.init_state(workload, opts.plan.as_ref(), None);
-        let mut cycles: Vec<SwapCycle> = Vec::new();
-        let mut pending_detect: Option<u64> = None;
-        while !st.done {
-            if let Some(detect_step) = pending_detect.take() {
-                if (cycles.len() as u32) < opts.max_swaps {
-                    let cycle = self.adapt_swap(&mut st, &mut engine, &mut tap, detect_step)?;
-                    cycles.push(cycle);
-                }
-            }
-            if let Some(record) = self.step_invocation(&mut st, &mut engine, false)? {
-                let verdict = tap.observe(&record);
-                let rec = self.rec();
-                if rec.enabled() {
-                    emit_verdict(rec, record.step, verdict);
-                }
-                if let HealthVerdict::PhaseChange { .. } = verdict {
-                    pending_detect = Some(record.step);
-                }
-            }
-        }
-        let rec = self.rec();
-        if rec.enabled() {
-            tap.publish(rec);
-        }
-        let invariant_violations = engine.violations();
-        let report = self.finish(st, &engine, opts.plan.as_ref(), workload);
-        Ok(AdaptiveRun {
-            report,
-            health: tap.stats(),
-            cycles,
-            invariant_violations,
-        })
-    }
-
-    /// One adaptive cycle: refit the plant from the tap's history, swap in
-    /// a fresh instantiation of the experiment's scheme, and re-arm the
-    /// detectors against the refit model.
-    fn adapt_swap(
+    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`], on
+    /// `recovery` (the tap is not checkpointed, so a crash could not be
+    /// replayed) or a scheduled `swap` in `opts`, and on everything
+    /// [`Experiment::run_unified`] rejects; propagates
+    /// controller-instantiation failures.
+    pub fn run_adaptive(
         &self,
-        st: &mut RunState,
-        engine: &mut Engine,
-        tap: &mut HealthTap,
-        detect_step: u64,
-    ) -> Result<SwapCycle> {
-        // Re-identify from the retained window. The orders mirror the
-        // design pipeline's; ridge regularization keeps the regression
-        // posed on closed-loop data (inputs correlate with outputs).
-        let refit_cfg = yukta_control::sysid::SysIdConfig {
-            na: 2,
-            nb: 2,
-            nc: 0,
-            plr_iters: 0,
-            ridge: 1e-4,
-        };
-        let (u, y) = tap.history();
-        let refit = fit_arx(u, y, refit_cfg)
-            .and_then(|m| validation_residual(u, y, &m).map(|r| (m, r)))
-            .ok();
-        let fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
-        let rec = self.rec();
-        if rec.enabled() {
-            rec.event(
-                "health.refit",
-                &[
-                    ("step", Value::U64(st.step)),
-                    ("fit_residual", Value::F64(fit_residual)),
-                ],
-            );
+        workload: &Workload,
+        opts: UnifiedOptions,
+        adaptive: AdaptiveOptions,
+    ) -> Result<AdaptiveRun> {
+        if opts.recovery.is_some() {
+            return Err(Error::NoSolution {
+                op: "run_adaptive",
+                why: "the health tap is not checkpointed, so a crash could not be recovered",
+            });
         }
-        engine.request_swap();
-        let replacement = self.scheme.instantiate(&self.design, self.options.limits)?;
-        let bumpless = engine.swap_primary(replacement);
-        st.swapped = true;
-        if rec.enabled() {
-            rec.event(
-                "runtime.resynth",
-                &[
-                    ("step", Value::U64(st.step)),
-                    ("bumpless", Value::Bool(bumpless)),
-                ],
-            );
+        if opts.swap.is_some() {
+            return Err(Error::NoSolution {
+                op: "run_adaptive",
+                why: "a scheduled swap cannot be combined with detector-triggered swaps",
+            });
         }
-        tap.rearm_after_swap(refit.map(|(m, _)| m.sys));
-        Ok(SwapCycle {
-            detect_step,
-            swap_step: st.step,
-            fit_residual,
-            bumpless,
-        })
-    }
-
-    /// Builds the run's health tap, mapping config errors to the
-    /// workspace's typed error (the dynamic detail is available from
-    /// [`HealthConfig::validate`] directly).
-    fn build_tap(&self, health: HealthConfig) -> Result<HealthTap> {
-        HealthTap::new(&self.design, health).map_err(|_| Error::NoSolution {
+        let tap = HealthTap::new(&self.design, adaptive.health).map_err(|_| Error::NoSolution {
             op: "health_config",
             why: "invalid health configuration (see HealthConfig::validate)",
-        })
-    }
-
-    /// Instantiates the engine for this experiment: the scheme's
-    /// controllers, raw or wrapped in a supervisor. Recovery rebuilds the
-    /// engine through the same path (a crashed daemon restarts from its
-    /// binary, not from its heap).
-    fn build_engine(&self, sup_cfg: Option<SupervisorConfig>) -> Result<Engine> {
-        self.build_engine_for(self.scheme, sup_cfg)
-    }
-
-    /// [`Experiment::build_engine`] with an explicit serving scheme —
-    /// recovery rebuilds from the *post-swap* scheme when the checkpoint
-    /// being restored was taken after a cross-scheme hot-swap committed.
-    fn build_engine_for(
-        &self,
-        scheme: Scheme,
-        sup_cfg: Option<SupervisorConfig>,
-    ) -> Result<Engine> {
-        let controllers = scheme.instantiate(&self.design, self.options.limits)?;
-        Ok(match sup_cfg {
-            None => Engine::Raw {
-                c: controllers,
-                auto: ModeAutomaton::new(ModeConfig::default()),
-            },
-            Some(cfg) => Engine::Supervised(Box::new(Supervisor::new(controllers, cfg))),
+        })?;
+        let mut adapt = Adaptation {
+            tap,
+            max_swaps: adaptive.max_swaps,
+            pending_detect: None,
+            cycles: Vec::new(),
+        };
+        let initial = adaptive.initial.unwrap_or(self.scheme);
+        let controllers = initial.instantiate(&self.design, self.options.limits)?;
+        let run = self.drive(workload, &opts, controllers, Some(&mut adapt), false)?;
+        let rec = self.rec();
+        if rec.enabled() {
+            adapt.tap.publish(rec);
+        }
+        Ok(AdaptiveRun {
+            report: run.report,
+            health: adapt.tap.stats(),
+            cycles: adapt.cycles,
+            invariant_violations: run.recovery.invariant_violations,
         })
     }
 
@@ -1284,98 +1258,27 @@ impl Experiment {
         }
     }
 
-    fn execute(
+    /// The run loop behind every entry point. Each pass is one controller
+    /// period through [`Experiment::step_invocation`], with hooks around
+    /// it: before the invocation, a due checkpoint, a crash point and the
+    /// pass's hot-swap (the scheduled one, or the adaptive policy's one
+    /// period after a detection); after it, the health tap and the journal
+    /// append. Each pass runs under `catch_unwind`. An injected crash
+    /// restores the latest checkpoint, and the following passes replay
+    /// the journal suffix: they check their
+    /// records against the journal instead of appending them, re-perform
+    /// a swap the rollback undid, and take no checkpoint and fire no crash.
+    ///
+    /// The journal is kept when the caller returns it (`keep_journal`) or
+    /// recovery replays it; otherwise each record is dropped after the
+    /// health tap has seen it.
+    fn drive(
         &self,
         workload: &Workload,
-        mut engine: Engine,
-        plan: Option<FaultPlan>,
-    ) -> Result<Report> {
-        let mut st = self.init_state(workload, plan.as_ref(), None);
-        while !st.done {
-            self.step_invocation(&mut st, &mut engine, false)?;
-        }
-        Ok(self.finish(st, &engine, plan.as_ref(), workload))
-    }
-
-    /// Runs the workload under the crash-tolerance machinery: every
-    /// invocation is journaled, the complete run state is checkpointed
-    /// every [`RecoveryOptions::checkpoint_interval`] invocations, and the
-    /// plan's crash points ([`FaultPlan::with_crash`]) kill the controller
-    /// process mid-invocation. Each crash is recovered by rebuilding the
-    /// engine from scratch, restoring the latest checkpoint, and replaying
-    /// the journal suffix; the replayed records are verified bit-for-bit
-    /// against the journal as they are reproduced.
-    ///
-    /// The recovered [`Report`] is bit-identical to what
-    /// [`Experiment::run_supervised`] (with `sup_cfg = Some`) or
-    /// [`Experiment::run`]/[`Experiment::run_with_controllers`]
-    /// (`sup_cfg = None`, no plan) produces for the same seed: crashes are
-    /// driven by the invocation counter and reported out-of-band in the
-    /// [`RecoveryReport`], so they never perturb the fault-injection RNG
-    /// stream or the plant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-instantiation and restore failures. A panic
-    /// that is not an [`InjectedCrash`] is re-raised, not swallowed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
-    pub fn run_recoverable(
-        &self,
-        workload: &Workload,
-        sup_cfg: Option<SupervisorConfig>,
-        plan: Option<FaultPlan>,
-        ropts: RecoveryOptions,
-    ) -> Result<RecoveredRun> {
-        self.run_unified_impl(
-            workload,
-            UnifiedOptions {
-                sup_cfg,
-                plan,
-                swap: None,
-                recovery: Some(ropts),
-                serving: None,
-            },
-            None,
-        )
-    }
-
-    /// The composed entry point: one runner for every combination of
-    /// supervision, fault injection, a mid-run hot-swap, and crash
-    /// recovery, all flowing through the checked mode automaton. The
-    /// pairwise paths ([`Experiment::run_recoverable`],
-    /// [`Experiment::run_supervised_with_swap`]) are thin wrappers over
-    /// this, so a swap-enabled run is also checkpointable/recoverable —
-    /// including a crash that lands between swap-request and swap-commit,
-    /// which recovery replays to a bit-identical outcome.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`yukta_linalg::Error::NoSolution`] on invalid combinations:
-    /// a flapping-prone supervisor configuration
-    /// ([`SupervisorConfig::validate`]), or crash points in the plan
-    /// without recovery enabled. Propagates controller-instantiation and
-    /// restore failures.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
-    pub fn run_unified(&self, workload: &Workload, opts: UnifiedOptions) -> Result<RecoveredRun> {
-        self.run_unified_impl(workload, opts, None)
-    }
-
-    /// [`Experiment::run_unified`] plus an optional externally supplied
-    /// replacement instance for the swap. Instance-based swaps are
-    /// rejected when recovery is on: a heap-only instance cannot be
-    /// rebuilt after a crash rollback, so recoverable runs must describe
-    /// the replacement by recipe ([`SwapSpec::scheme`]).
-    fn run_unified_impl(
-        &self,
-        workload: &Workload,
-        opts: UnifiedOptions,
-        mut instance_next: Option<Controllers>,
+        opts: &UnifiedOptions,
+        controllers: Controllers,
+        mut adapt: Option<&mut Adaptation>,
+        keep_journal: bool,
     ) -> Result<RecoveredRun> {
         if let Some(cfg) = &opts.sup_cfg {
             cfg.validate()?;
@@ -1383,7 +1286,7 @@ impl Experiment {
         if let Some(spec) = &opts.serving {
             spec.validate(&self.options.limits)?;
         }
-        let crash_steps: Vec<u64> = opts
+        let crash_steps = opts
             .plan
             .as_ref()
             .map(FaultPlan::crash_steps)
@@ -1394,158 +1297,119 @@ impl Experiment {
                 why: "crash points in the fault plan require recovery to be enabled",
             });
         }
-        if instance_next.is_some() && opts.recovery.is_some() {
-            return Err(Error::NoSolution {
-                op: "run_unified",
-                why: "instance-based swap cannot be rebuilt after a crash; use SwapSpec::scheme",
-            });
-        }
-        let interval = opts.recovery.map(|r| r.checkpoint_interval.max(1));
-        let swap_spec = opts.swap;
-        // Crash points, soonest first; consumed as they fire so recovery
-        // does not re-crash at the same step.
-        let mut pending = crash_steps;
-        let mut engine = self.build_engine(opts.sup_cfg)?;
+        let rec = self.rec();
+        let mut engine = Engine::new(controllers, opts.sup_cfg);
         let mut st = self.init_state(workload, opts.plan.as_ref(), opts.serving.as_ref());
         let mut journal = Journal::new();
-        let mut recovery = RecoveryReport::default();
-        let mut ckpt = interval.map(|_| Checkpoint {
-            state: st.clone(),
-            engine: engine.save_state(),
-            journal_len: 0,
+        let mut recovery = opts.recovery.map(|r| Recovery {
+            interval: r.checkpoint_interval.max(1),
+            ckpt: Checkpoint {
+                state: st.clone(),
+                engine: engine.save_state(),
+                journal_len: 0,
+            },
+            pending: crash_steps,
+            report: RecoveryReport {
+                checkpoints: 1,
+                ..Default::default()
+            },
+            replay: None,
         });
-        if ckpt.is_some() {
-            recovery.checkpoints = 1;
-        }
+        let keep_journal = keep_journal || recovery.is_some();
         while !st.done {
-            if let (Some(interval), Some(c)) = (interval, &mut ckpt) {
-                if st.step > c.state.step && st.step.is_multiple_of(interval) {
-                    let rec = self.rec();
-                    let span = yukta_obs::span(rec, "runtime.checkpoint");
-                    *c = Checkpoint {
-                        state: st.clone(),
-                        engine: engine.save_state(),
-                        journal_len: journal.len(),
-                    };
-                    recovery.checkpoints += 1;
-                    if rec.enabled() {
-                        span.end_with(&[
-                            ("step", Value::U64(st.step)),
-                            ("journal_len", Value::U64(journal.len() as u64)),
-                        ]);
-                    } else {
-                        drop(span);
-                    }
-                }
+            let mut crash_here = false;
+            if let Some(r) = recovery.as_mut().filter(|r| r.replay.is_none()) {
+                r.checkpoint(rec, &st, &engine, journal.len());
+                crash_here = r.pending.first() == Some(&st.step);
             }
-            let crash_here = pending.first() == Some(&st.step);
-            let swap_here = match swap_spec {
-                Some(spec) => !st.swapped && st.step == spec.at_step,
-                None => false,
+            let swap_to = match opts.swap {
+                Some(spec) if !st.swapped && st.step == spec.at_step => {
+                    Some(spec.scheme.unwrap_or(self.scheme))
+                }
+                _ => None,
             };
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if swap_here {
-                    if let Some(spec) = swap_spec {
-                        // A crash at the swap step lands inside the swap
-                        // window, between request and commit.
-                        self.perform_swap(
-                            &mut st,
-                            &mut engine,
-                            spec,
-                            &mut instance_next,
-                            crash_here,
-                        )?;
+            let pass = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(scheme) = swap_to {
+                    // A crash at the swap step lands inside the swap
+                    // window, between request and commit.
+                    self.swap(&mut st, &mut engine, scheme, crash_here)?;
+                }
+                if let Some(a) = adapt.as_deref_mut() {
+                    if let Some(detect_step) = a.pending_detect.take() {
+                        let (model, fit_residual) = a.refit(rec, st.step);
+                        let swap_step = st.step;
+                        let bumpless = self.swap(&mut st, &mut engine, self.scheme, false)?;
+                        a.tap.rearm_after_swap(model);
+                        a.cycles.push(SwapCycle {
+                            detect_step,
+                            swap_step,
+                            fit_residual,
+                            bumpless,
+                        });
                     }
                 }
-                self.step_invocation(&mut st, &mut engine, crash_here && !swap_here)
-            }));
-            match outcome {
-                Ok(result) => {
-                    if let Some(record) = result? {
+                let record =
+                    self.step_invocation(&mut st, &mut engine, crash_here && swap_to.is_none())?;
+                if let Some(r) = recovery.as_mut().filter(|r| r.replay.is_some()) {
+                    r.check_replayed(rec, record.as_ref(), &journal, &mut engine, &st);
+                } else if let Some(record) = record {
+                    if let Some(a) = adapt.as_deref_mut() {
+                        a.observe(rec, &record);
+                    }
+                    if keep_journal {
                         journal.push(record);
-                        let rec = self.rec();
                         if rec.enabled() {
                             rec.counter_add("runtime.journal_records", 1);
                         }
                     }
                 }
-                Err(payload) => {
-                    if payload.downcast_ref::<InjectedCrash>().is_none() {
-                        resume_unwind(payload);
-                    }
-                    let Some(c) = &ckpt else {
-                        // Unreachable: crashes were rejected above unless
-                        // recovery (and thus a checkpoint) exists.
-                        resume_unwind(payload);
-                    };
-                    pending.remove(0);
-                    recovery.crashes += 1;
-                    let rec = self.rec();
-                    if rec.enabled() {
-                        rec.event("runtime.crash", &[("step", Value::U64(st.step))]);
-                    }
-                    // The daemon died mid-invocation: its partial step is
-                    // lost. Restart from the binary (fresh instantiation),
-                    // load the checkpoint, replay the journal suffix.
-                    let recover_span = yukta_obs::span(rec, "runtime.recover");
-                    // The checkpoint may postdate a committed hot-swap, in
-                    // which case the serving controllers are the swap
-                    // recipe's, not the experiment's own scheme.
-                    let serving = match (c.state.swapped, swap_spec) {
-                        (true, Some(spec)) => spec.scheme.unwrap_or(self.scheme),
-                        _ => self.scheme,
-                    };
-                    engine = self.build_engine_for(serving, opts.sup_cfg)?;
-                    engine.restore_state(&c.engine)?;
-                    engine.begin_recovery();
-                    st = c.state.clone();
-                    for i in c.journal_len..journal.len() {
-                        // A swap that committed after the checkpoint was
-                        // rolled back with it: re-perform it at the same
-                        // point of the replay (deterministic by recipe).
-                        if let Some(spec) = swap_spec {
-                            if !st.swapped && st.step == spec.at_step {
-                                self.perform_swap(
-                                    &mut st,
-                                    &mut engine,
-                                    spec,
-                                    &mut instance_next,
-                                    false,
-                                )?;
-                            }
-                        }
-                        match self.step_invocation(&mut st, &mut engine, false)? {
-                            Some(r) => {
-                                recovery.replayed_records += 1;
-                                if !r.bit_identical(&journal.records()[i]) {
-                                    recovery.replay_divergences += 1;
-                                }
-                            }
-                            None => {
-                                // The journal says this invocation completed;
-                                // ending early is a divergence.
-                                recovery.replay_divergences += 1;
-                                break;
-                            }
-                        }
-                    }
-                    engine.end_recovery();
-                    recovery.recoveries += 1;
-                    if rec.enabled() {
-                        recover_span.end_with(&[
-                            ("step", Value::U64(st.step)),
-                            (
-                                "replayed",
-                                Value::U64((journal.len() - c.journal_len) as u64),
-                            ),
-                            ("divergences", Value::U64(recovery.replay_divergences)),
-                        ]);
-                    } else {
-                        drop(recover_span);
-                    }
+                Ok(())
+            }));
+            let payload = match pass {
+                Ok(result) => {
+                    result?;
+                    continue;
                 }
+                Err(payload) => payload,
+            };
+            if !payload.is::<InjectedCrash>() {
+                resume_unwind(payload);
+            }
+            let Some(r) = recovery.as_mut() else {
+                // Unreachable: crashes were rejected above unless recovery
+                // is enabled.
+                resume_unwind(payload);
+            };
+            r.pending.remove(0);
+            r.report.crashes += 1;
+            if rec.enabled() {
+                rec.event("runtime.crash", &[("step", Value::U64(st.step))]);
+            }
+            // The daemon died mid-invocation: its partial step is lost.
+            // Restart from the binary (fresh instantiation), load the
+            // checkpoint, replay the journal suffix. The checkpoint may
+            // postdate a committed hot-swap, in which case the serving
+            // controllers are the swap recipe's, not the experiment's own
+            // scheme.
+            let span = yukta_obs::span(rec, "runtime.recover");
+            let serving = match (r.ckpt.state.swapped, opts.swap) {
+                (true, Some(spec)) => spec.scheme.unwrap_or(self.scheme),
+                _ => self.scheme,
+            };
+            let controllers = serving.instantiate(&self.design, self.options.limits)?;
+            engine = Engine::new(controllers, opts.sup_cfg);
+            engine.restore_state(&r.ckpt.engine)?;
+            engine.begin_recovery();
+            st = r.ckpt.state.clone();
+            r.replay = Some(Replay {
+                next: r.ckpt.journal_len,
+                span,
+            });
+            if r.ckpt.journal_len == journal.len() {
+                r.end_replay(rec, &mut engine, &st, journal.len());
             }
         }
+        let mut recovery = recovery.map(|r| r.report).unwrap_or_default();
         recovery.invariant_violations = engine.violations();
         let report = self.finish(st, &engine, opts.plan.as_ref(), workload);
         Ok(RecoveredRun {
@@ -1555,30 +1419,24 @@ impl Experiment {
         })
     }
 
-    /// Stages and commits the run's hot-swap through the automaton's
-    /// request→commit protocol. With `crash_here`, the injected crash
-    /// fires inside the vulnerable window — after the request, before the
-    /// commit — which is exactly the interleaving the chaos campaign must
-    /// recover from bit-identically.
-    fn perform_swap(
+    /// Stages and commits a hot-swap to a fresh instantiation of `scheme`
+    /// through the automaton's request→commit protocol, returning whether
+    /// the controller state transferred bumplessly. With `crash_here`, the
+    /// injected crash fires inside the vulnerable window — after the
+    /// request, before the commit — which is exactly the interleaving the
+    /// chaos campaign must recover from bit-identically.
+    fn swap(
         &self,
         st: &mut RunState,
         engine: &mut Engine,
-        spec: SwapSpec,
-        instance_next: &mut Option<Controllers>,
+        scheme: Scheme,
         crash_here: bool,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         engine.request_swap();
         if crash_here {
             std::panic::panic_any(InjectedCrash { step: st.step });
         }
-        let replacement = match instance_next.take() {
-            Some(c) => c,
-            None => {
-                let scheme = spec.scheme.unwrap_or(self.scheme);
-                scheme.instantiate(&self.design, self.options.limits)?
-            }
-        };
+        let replacement = scheme.instantiate(&self.design, self.options.limits)?;
         let bumpless = engine.swap_primary(replacement);
         st.swapped = true;
         let rec = self.rec();
@@ -1591,7 +1449,7 @@ impl Experiment {
                 ],
             );
         }
-        Ok(())
+        Ok(bumpless)
     }
 
     /// Replays a journal against a freshly instantiated engine for this
@@ -1608,7 +1466,8 @@ impl Experiment {
         journal: &Journal,
         sup_cfg: Option<SupervisorConfig>,
     ) -> Result<ReplayOutcome> {
-        let mut engine = self.build_engine(sup_cfg)?;
+        let controllers = self.scheme.instantiate(&self.design, self.options.limits)?;
+        let mut engine = Engine::new(controllers, sup_cfg);
         replay_with(journal, |hw, os| engine.invoke(hw, os))
     }
 }
@@ -1621,6 +1480,15 @@ mod tests {
     fn quick_options() -> RunOptions {
         RunOptions {
             timeout_s: 400.0,
+            ..Default::default()
+        }
+    }
+
+    /// Supervised run options with an optional fault plan.
+    fn supervised(plan: Option<FaultPlan>) -> UnifiedOptions {
+        UnifiedOptions {
+            sup_cfg: Some(SupervisorConfig::default()),
+            plan,
             ..Default::default()
         }
     }
@@ -1712,12 +1580,9 @@ mod tests {
             .with_options(quick_options());
         let base = exp.run(&wl).unwrap();
         let sup = exp
-            .run_supervised(
-                &wl,
-                SupervisorConfig::default(),
-                Some(FaultPlan::uniform(7, 0.0)),
-            )
-            .unwrap();
+            .run_unified(&wl, supervised(Some(FaultPlan::uniform(7, 0.0))))
+            .unwrap()
+            .report;
         assert_eq!(
             base.metrics.energy_joules.to_bits(),
             sup.metrics.energy_joules.to_bits(),
@@ -1746,12 +1611,9 @@ mod tests {
             .unwrap()
             .with_options(quick_options());
         let rep = exp
-            .run_supervised(
-                &wl,
-                SupervisorConfig::default(),
-                Some(FaultPlan::uniform(11, 1.0)),
-            )
-            .unwrap();
+            .run_unified(&wl, supervised(Some(FaultPlan::uniform(11, 1.0))))
+            .unwrap()
+            .report;
         assert!(rep.metrics.energy_joules.is_finite());
         assert!(rep.metrics.delay_seconds > 0.0);
         let st = rep.supervisor.unwrap();
@@ -1771,11 +1633,10 @@ mod tests {
             .with_options(quick_options());
         let plan = FaultPlan::uniform(42, 0.6);
         let a = exp
-            .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
-            .unwrap();
-        let b = exp
-            .run_supervised(&wl, SupervisorConfig::default(), Some(plan))
-            .unwrap();
+            .run_unified(&wl, supervised(Some(plan.clone())))
+            .unwrap()
+            .report;
+        let b = exp.run_unified(&wl, supervised(Some(plan))).unwrap().report;
         assert!(a.bit_identical(&b), "same seed+plan must reproduce exactly");
         assert!(
             !a.faults.as_ref().unwrap().trace.is_empty(),
@@ -1830,12 +1691,12 @@ mod tests {
                 .approx_eq(c.design().hw_model_full.a(), 0.0),
             "different seeds must produce different identified models"
         );
-        let ra = a
-            .run_recoverable(&wl, None, None, RecoveryOptions::default())
-            .unwrap();
-        let rb = b
-            .run_recoverable(&wl, None, None, RecoveryOptions::default())
-            .unwrap();
+        let recoverable = || UnifiedOptions {
+            recovery: Some(RecoveryOptions::default()),
+            ..Default::default()
+        };
+        let ra = a.run_unified(&wl, recoverable()).unwrap();
+        let rb = b.run_unified(&wl, recoverable()).unwrap();
         assert!(
             ra.report.bit_identical(&rb.report),
             "seeded replay must reproduce bit-for-bit"
@@ -1859,14 +1720,16 @@ mod tests {
             .with_options(quick_options());
         let plan = FaultPlan::uniform(17, 0.3);
         let base = exp
-            .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
-            .unwrap();
+            .run_unified(&wl, supervised(Some(plan.clone())))
+            .unwrap()
+            .report;
         let rec = exp
-            .run_recoverable(
+            .run_unified(
                 &wl,
-                Some(SupervisorConfig::default()),
-                Some(plan),
-                RecoveryOptions::default(),
+                UnifiedOptions {
+                    recovery: Some(RecoveryOptions::default()),
+                    ..supervised(Some(plan))
+                },
             )
             .unwrap();
         assert!(
@@ -1899,18 +1762,23 @@ mod tests {
             .unwrap()
             .with_options(quick_options());
         let plan = FaultPlan::uniform(21, 0.5).with_crash(9).with_crash(31);
-        // run_supervised ignores crash points, so the same plan doubles as
-        // the uninterrupted baseline.
+        // The uninterrupted baseline: the same plan with its crash points
+        // cleared (crashes never touch the injector RNG or the fault
+        // report).
+        let mut uninterrupted = plan.clone();
+        uninterrupted.crashes.clear();
         let base = exp
-            .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
-            .unwrap();
+            .run_unified(&wl, supervised(Some(uninterrupted)))
+            .unwrap()
+            .report;
         let rec = exp
-            .run_recoverable(
+            .run_unified(
                 &wl,
-                Some(SupervisorConfig::default()),
-                Some(plan),
-                RecoveryOptions {
-                    checkpoint_interval: 8,
+                UnifiedOptions {
+                    recovery: Some(RecoveryOptions {
+                        checkpoint_interval: 8,
+                    }),
+                    ..supervised(Some(plan))
                 },
             )
             .unwrap();
@@ -1934,12 +1802,20 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let base = exp
-            .run_supervised(&wl, SupervisorConfig::default(), None)
-            .unwrap();
+        let base = exp.run_unified(&wl, supervised(None)).unwrap().report;
         let swapped = exp
-            .run_supervised_with_swap(&wl, SupervisorConfig::default(), None, 5, None)
-            .unwrap();
+            .run_unified(
+                &wl,
+                UnifiedOptions {
+                    swap: Some(SwapSpec {
+                        at_step: 5,
+                        scheme: None,
+                    }),
+                    ..supervised(None)
+                },
+            )
+            .unwrap()
+            .report;
         assert!(
             swapped.bit_identical(&base),
             "zero-change swap perturbed the run"
@@ -1957,12 +1833,19 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let next = Scheme::DecoupledHeuristic
-            .instantiate(exp.design(), exp.options.limits)
-            .unwrap();
         let rep = exp
-            .run_supervised_with_swap(&wl, SupervisorConfig::default(), None, 5, Some(next))
-            .unwrap();
+            .run_unified(
+                &wl,
+                UnifiedOptions {
+                    swap: Some(SwapSpec {
+                        at_step: 5,
+                        scheme: Some(Scheme::DecoupledHeuristic),
+                    }),
+                    ..supervised(None)
+                },
+            )
+            .unwrap()
+            .report;
         assert!(rep.metrics.completed, "swap stalled the workload");
         assert!(rep.metrics.energy_joules.is_finite());
         for (k, s) in rep.trace.samples.iter().enumerate() {
@@ -1999,12 +1882,14 @@ mod tests {
         // run; only the crash point differs from `run`.
         let plan = FaultPlan::uniform(5, 0.0).with_crash(6);
         let rec = exp
-            .run_recoverable(
+            .run_unified(
                 &wl,
-                None,
-                Some(plan),
-                RecoveryOptions {
-                    checkpoint_interval: 4,
+                UnifiedOptions {
+                    plan: Some(plan),
+                    recovery: Some(RecoveryOptions {
+                        checkpoint_interval: 4,
+                    }),
+                    ..Default::default()
                 },
             )
             .unwrap();
@@ -2081,6 +1966,36 @@ mod tests {
             ),
             "{err:?}"
         );
+        // The health tap is not checkpointed, so an adaptive run cannot
+        // recover from a crash; and a scheduled swap would compete with
+        // the detector-triggered ones.
+        for opts in [
+            UnifiedOptions {
+                recovery: Some(RecoveryOptions::default()),
+                ..supervised(None)
+            },
+            UnifiedOptions {
+                swap: Some(SwapSpec {
+                    at_step: 4,
+                    scheme: None,
+                }),
+                ..supervised(None)
+            },
+        ] {
+            let err = exp
+                .run_adaptive(&wl, opts, AdaptiveOptions::default())
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::NoSolution {
+                        op: "run_adaptive",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -2098,17 +2013,23 @@ mod tests {
         let plan = FaultPlan::uniform(33, 0.4)
             .with_crash(swap_at)
             .with_crash(19);
-        // run_supervised_with_swap strips crash points, so the same plan
-        // doubles as the uninterrupted baseline.
+        // The uninterrupted baseline: the same plan and swap with the crash
+        // points cleared.
+        let mut uninterrupted = plan.clone();
+        uninterrupted.crashes.clear();
         let base = exp
-            .run_supervised_with_swap(
+            .run_unified(
                 &wl,
-                SupervisorConfig::default(),
-                Some(plan.clone()),
-                swap_at,
-                None,
+                UnifiedOptions {
+                    swap: Some(SwapSpec {
+                        at_step: swap_at,
+                        scheme: None,
+                    }),
+                    ..supervised(Some(uninterrupted))
+                },
             )
-            .unwrap();
+            .unwrap()
+            .report;
         let run = exp
             .run_unified(
                 &wl,
@@ -2175,43 +2096,6 @@ mod tests {
         assert_eq!(
             run.report.metrics.delay_seconds.to_bits(),
             base.metrics.delay_seconds.to_bits()
-        );
-    }
-
-    #[test]
-    fn instance_swap_plus_recovery_is_a_typed_error() {
-        let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
-        let next = Scheme::DecoupledHeuristic
-            .instantiate(exp.design(), exp.options.limits)
-            .unwrap();
-        let err = exp
-            .run_unified_impl(
-                &wl,
-                UnifiedOptions {
-                    sup_cfg: Some(SupervisorConfig::default()),
-                    plan: None,
-                    swap: Some(SwapSpec {
-                        at_step: 4,
-                        scheme: None,
-                    }),
-                    recovery: Some(RecoveryOptions::default()),
-                    serving: None,
-                },
-                Some(next),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::NoSolution {
-                    op: "run_unified",
-                    ..
-                }
-            ),
-            "{err:?}"
         );
     }
 
@@ -2452,22 +2336,24 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let base = exp
-            .run_supervised(&wl, SupervisorConfig::default(), None)
-            .unwrap();
-        let (monitored, stats) = exp
-            .run_monitored(
+        let base = exp.run_unified(&wl, supervised(None)).unwrap().report;
+        let monitored = exp
+            .run_adaptive(
                 &wl,
-                SupervisorConfig::default(),
-                None,
-                HealthConfig::default(),
+                supervised(None),
+                AdaptiveOptions {
+                    max_swaps: 0,
+                    ..Default::default()
+                },
             )
             .unwrap();
         assert!(
-            monitored.bit_identical(&base),
+            monitored.report.bit_identical(&base),
             "health monitoring perturbed the run"
         );
-        assert_eq!(stats.samples, monitored.trace.samples.len() as u64);
+        assert!(monitored.cycles.is_empty());
+        let stats = monitored.health;
+        assert_eq!(stats.samples, base.trace.samples.len() as u64);
         assert!(stats.residual_mean.is_finite());
     }
 
@@ -2478,12 +2364,15 @@ mod tests {
             .unwrap()
             .with_options(quick_options());
         let err = exp
-            .run_monitored(
+            .run_adaptive(
                 &wl,
-                SupervisorConfig::default(),
-                None,
-                HealthConfig {
-                    warmup: 0,
+                supervised(None),
+                AdaptiveOptions {
+                    health: HealthConfig {
+                        warmup: 0,
+                        ..Default::default()
+                    },
+                    max_swaps: 0,
                     ..Default::default()
                 },
             )
@@ -2509,6 +2398,7 @@ mod tests {
         let run = exp
             .run_adaptive(
                 &wl,
+                supervised(None),
                 AdaptiveOptions {
                     initial: Some(Scheme::DecoupledHeuristic),
                     max_swaps: 1,
@@ -2535,7 +2425,9 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let run = exp.run_adaptive(&wl, AdaptiveOptions::default()).unwrap();
+        let run = exp
+            .run_adaptive(&wl, supervised(None), AdaptiveOptions::default())
+            .unwrap();
         assert!(run.report.metrics.completed);
         assert!(
             run.cycles.is_empty(),

@@ -30,17 +30,26 @@ fn check_crash_offset(seed: u64, severity: f64, swap_at: u64, offset: i64) {
         .with_options(quick_options());
     let crash_at = swap_at.saturating_add_signed(offset).max(1);
     let plan = FaultPlan::uniform(seed, severity).with_crash(crash_at);
-    // run_supervised_with_swap strips crash points, so the same plan
-    // doubles as the uninterrupted baseline.
+    // The uninterrupted baseline: the same plan and swap with the crash
+    // point cleared.
+    let mut uninterrupted = plan.clone();
+    uninterrupted.crashes.clear();
     let base = exp
-        .run_supervised_with_swap(
+        .run_unified(
             &wl,
-            SupervisorConfig::default(),
-            Some(plan.clone()),
-            swap_at,
-            None,
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                plan: Some(uninterrupted),
+                swap: Some(SwapSpec {
+                    at_step: swap_at,
+                    scheme: None,
+                }),
+                recovery: None,
+                serving: None,
+            },
         )
-        .unwrap();
+        .unwrap()
+        .report;
     let run = exp
         .run_unified(
             &wl,
@@ -166,7 +175,17 @@ fn correlated_burst_drives_fallback_to_safe_escalation() {
     let plan = FaultPlan::uniform(77, 0.0)
         .with_bursts(1, 15.0)
         .with_burst_region(4.0);
-    let rep = exp.run_supervised(&wl, cfg, Some(plan)).unwrap();
+    let rep = exp
+        .run_unified(
+            &wl,
+            UnifiedOptions {
+                sup_cfg: Some(cfg),
+                plan: Some(plan),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .report;
     let sup = rep.supervisor.unwrap();
     assert!(sup.safe_entries >= 1, "burst never escalated: {sup:?}");
     assert_eq!(sup.invariant_violations, 0);

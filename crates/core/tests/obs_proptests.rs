@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use yukta_board::FaultPlan;
 use yukta_core::metrics::Report;
-use yukta_core::runtime::{Experiment, RunOptions};
+use yukta_core::runtime::{Experiment, RunOptions, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_obs::mem::MemRecorder;
@@ -32,19 +32,25 @@ fn quick_options() -> RunOptions {
 /// number of telemetry records the instrumented run captured.
 fn run_pair(seed: u64, severity: f64) -> (Report, Report, usize) {
     let wl = catalog::parsec::blackscholes();
-    let plan = FaultPlan::uniform(seed, severity);
+    let opts = UnifiedOptions {
+        sup_cfg: Some(SupervisorConfig::default()),
+        plan: Some(FaultPlan::uniform(seed, severity)),
+        ..Default::default()
+    };
     let bare = Experiment::new(Scheme::CoordinatedHeuristic)
         .unwrap()
         .with_options(quick_options())
-        .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
-        .unwrap();
+        .run_unified(&wl, opts.clone())
+        .unwrap()
+        .report;
     let rec = Arc::new(MemRecorder::new());
     let instrumented = Experiment::new(Scheme::CoordinatedHeuristic)
         .unwrap()
         .with_options(quick_options())
         .with_recorder(rec.clone())
-        .run_supervised(&wl, SupervisorConfig::default(), Some(plan))
-        .unwrap();
+        .run_unified(&wl, opts)
+        .unwrap()
+        .report;
     let records = rec.snapshot().entries.len();
     (bare, instrumented, records)
 }
